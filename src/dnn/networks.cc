@@ -357,9 +357,9 @@ buildTeacher(NetId id, u64 seed)
 }
 
 NetworkSpec
-buildWithKnobs(NetId id, const CompressionKnobs &knobs, u64 seed)
+compressTeacher(NetId id, const NetworkSpec &teacher,
+                const CompressionKnobs &knobs)
 {
-    NetworkSpec teacher = buildTeacher(id, seed);
     Budgets budgets = tableBudgets(id);
 
     NetworkSpec net;
@@ -495,7 +495,7 @@ buildWithKnobs(NetId id, const CompressionKnobs &knobs, u64 seed)
 NetworkSpec
 buildCompressed(NetId id, u64 seed)
 {
-    return buildWithKnobs(id, CompressionKnobs{}, seed);
+    return compressTeacher(id, buildTeacher(id, seed), {});
 }
 
 NetworkSpec

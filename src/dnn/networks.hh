@@ -50,12 +50,6 @@ f64 paperAccuracy(NetId id);
 NetworkSpec buildTeacher(NetId id, u64 seed = 0x5eed);
 
 /**
- * The compressed configuration used on-device, derived from the
- * teacher per Table 2 (separation + pruning budgets).
- */
-NetworkSpec buildCompressed(NetId id, u64 seed = 0x5eed);
-
-/**
  * Knobs for building alternative compressed configurations (GENESIS'
  * search space). fcKeep/convKeep are the fractions of FC/conv weights
  * kept by pruning; fcRank scales the SVD ranks (1.0 = Table 2 ranks);
@@ -70,9 +64,19 @@ struct CompressionKnobs
     bool svdFc = true;
 };
 
-/** Build a compressed network with explicit knobs (GENESIS sweep). */
-NetworkSpec buildWithKnobs(NetId id, const CompressionKnobs &knobs,
-                           u64 seed = 0x5eed);
+/**
+ * Compress a paper teacher (buildTeacher(id, seed) at any seed) with
+ * explicit knobs, scaling the Table 2 separation and pruning budgets
+ * (GENESIS sweep). Default knobs give the Table 2 configuration.
+ */
+NetworkSpec compressTeacher(NetId id, const NetworkSpec &teacher,
+                            const CompressionKnobs &knobs);
+
+/**
+ * The compressed configuration used on-device, derived from the
+ * teacher per Table 2 (separation + pruning budgets).
+ */
+NetworkSpec buildCompressed(NetId id, u64 seed = 0x5eed);
 
 /**
  * Knob-driven compression for an arbitrary teacher (workloads without

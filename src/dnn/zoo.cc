@@ -89,13 +89,13 @@ ModelZoo::ModelZoo()
         add(netName(row.id), meta, [id = row.id] {
             ModelDef def;
             def.teacher = buildTeacher(id);
-            def.compressed = buildCompressed(id);
+            def.compressed = compressTeacher(id, def.teacher, {});
             def.teacherAt = [id](u64 seed) {
                 return buildTeacher(id, seed);
             };
             def.withKnobs = [id](const CompressionKnobs &knobs,
                                  u64 seed) {
-                return buildWithKnobs(id, knobs, seed);
+                return compressTeacher(id, buildTeacher(id, seed), knobs);
             };
             return def;
         });

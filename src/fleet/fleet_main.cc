@@ -28,6 +28,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -48,6 +49,17 @@ namespace
 using namespace sonic;
 using cli::consumeFlag;
 using cli::splitCsv;
+
+constexpr u32 kU32Max = std::numeric_limits<u32>::max();
+constexpr u64 kU64Max = std::numeric_limits<u64>::max();
+
+/** --horizon bounds: a millisecond to about 31.7 years. */
+constexpr f64 kMinHorizonS = 1e-3;
+constexpr f64 kMaxHorizonS = 1e9;
+
+/** --threads cap (0 = hardware concurrency): every worker is an OS
+ * thread, and so is every .sonicz block encoder. */
+constexpr u32 kMaxThreads = 1024;
 
 /** The worker count runFleet resolves 0 to. */
 u32
@@ -101,152 +113,174 @@ main(int argc, char **argv)
     // must resolve before axis overrides apply, whatever the flag
     // order was.
     std::vector<std::string> args(argv + 1, argv + argc);
-    try {
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--trace", &value)) {
-                trace_args.push_back(value);
-            } else if (consumeFlag(arg, "--from-plan", &value)) {
-                std::ifstream in(value);
-                if (!in) {
-                    std::cerr << "cannot read " << value << "\n";
-                    return 2;
-                }
-                std::ostringstream text;
-                text << in.rdbuf();
-                sonic::plan::Plan deployment;
-                std::string error;
-                if (!sonic::plan::Plan::fromJson(text.str(),
-                                                 &deployment,
-                                                 &error)) {
-                    std::cerr << "bad plan " << value << ": "
-                              << error << "\n";
-                    return 2;
-                }
-                plan = deployment.toFleetPlan();
-            } else if (consumeFlag(arg, "--scenario", &value)) {
-                bool found = false;
-                for (const auto &scenario :
-                     fleet::namedScenarios()) {
-                    if (scenario.name == value) {
-                        plan = scenario.plan;
-                        found = true;
-                    }
-                }
-                if (!found) {
-                    std::cerr << "unknown scenario '" << value
-                              << "' (--list-scenarios)\n";
-                    return 2;
-                }
-            }
+    // Parse the current flag's value as a number in [lo, hi] into
+    // *out; on a bad value print why and fail (the caller exits 2).
+    const auto number = [&value](const char *flag, auto lo, auto hi,
+                                 auto *out) {
+        std::string error;
+        const auto parsed = cli::parseNumber(flag, value, lo, hi, &error);
+        if (!parsed) {
+            std::cerr << error << "\n";
+            return false;
         }
-
-        for (const auto &trace : trace_args) {
-            const auto eq = trace.find('=');
-            if (eq == std::string::npos || eq == 0) {
-                std::cerr << "--trace expects NAME=FILE (got '"
-                          << trace << "')\n";
+        *out = *parsed;
+        return true;
+    };
+    for (const auto &arg : args) {
+        if (consumeFlag(arg, "--trace", &value)) {
+            trace_args.push_back(value);
+        } else if (consumeFlag(arg, "--from-plan", &value)) {
+            std::ifstream in(value);
+            if (!in) {
+                std::cerr << "cannot read " << value << "\n";
                 return 2;
             }
+            std::ostringstream text;
+            text << in.rdbuf();
+            sonic::plan::Plan deployment;
             std::string error;
-            if (!env::EnvRegistry::instance().addTraceFile(
-                    trace.substr(0, eq), trace.substr(eq + 1),
-                    &error)) {
-                std::cerr << "cannot register trace: " << error
-                          << "\n";
+            if (!sonic::plan::Plan::fromJson(text.str(),
+                                             &deployment,
+                                             &error)) {
+                std::cerr << "bad plan " << value << ": "
+                          << error << "\n";
+                return 2;
+            }
+            plan = deployment.toFleetPlan();
+        } else if (consumeFlag(arg, "--scenario", &value)) {
+            bool found = false;
+            for (const auto &scenario :
+                 fleet::namedScenarios()) {
+                if (scenario.name == value) {
+                    plan = scenario.plan;
+                    found = true;
+                }
+            }
+            if (!found) {
+                std::cerr << "unknown scenario '" << value
+                          << "' (--list-scenarios)\n";
                 return 2;
             }
         }
+    }
 
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--trace", &value)
-                || consumeFlag(arg, "--scenario", &value)
-                || consumeFlag(arg, "--from-plan", &value)) {
-                continue; // handled above
-            } else if (arg == "--list-envs") {
-                auto &registry = env::EnvRegistry::instance();
-                for (const auto &name : registry.names()) {
-                    const auto *meta = registry.meta(name);
-                    std::cout
-                        << name << " [" << meta->family << "] — "
-                        << meta->description << " (default "
-                        << env::formatCapacitance(
-                               meta->defaultCapacitanceFarads)
-                        << ")\n";
-                }
-                return 0;
-            } else if (arg == "--list-scenarios") {
-                for (const auto &scenario : fleet::namedScenarios())
-                    std::cout << scenario.name << " — "
-                              << scenario.description << "\n";
-                return 0;
-            } else if (arg == "--list-pipelines") {
-                std::cout
-                    << pipeline::PipelineRegistry::instance()
-                           .availableList();
-                return 0;
-            } else if (consumeFlag(arg, "--devices", &value)) {
-                plan.devices = static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--nets", &value)) {
-                plan.nets = splitCsv(value);
-            } else if (consumeFlag(arg, "--impls", &value)) {
-                plan.impls.clear();
-                for (const auto &name : splitCsv(value)) {
-                    const auto *info =
-                        kernels::ImplRegistry::instance().find(name);
-                    if (info == nullptr)
-                        fatal("unknown implementation '", name, "'");
-                    plan.impls.push_back(info->id);
-                }
-            } else if (consumeFlag(arg, "--envs", &value)) {
-                plan.environments.clear();
-                for (const auto &label : splitCsv(value)) {
-                    env::EnvRef ref;
-                    std::string error;
-                    if (!env::parseEnvRef(label, &ref, &error))
-                        fatal(error);
-                    plan.environments.push_back(std::move(ref));
-                }
-            } else if (consumeFlag(arg, "--pipelines", &value)) {
-                plan.pipelines = splitCsv(value);
-            } else if (consumeFlag(arg, "--horizon", &value)) {
-                plan.horizonSeconds = std::stod(value);
-            } else if (consumeFlag(arg, "--max-inferences", &value)) {
-                plan.maxInferencesPerDevice =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--threads", &value)) {
-                options.threads =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--seed", &value)) {
-                plan.baseSeed = std::stoull(value);
-            } else if (consumeFlag(arg, "--trace-out", &value)) {
-                trace_out_path = value;
-            } else if (consumeFlag(arg, "--trace-every", &value)) {
-                plan.traceEvery =
-                    static_cast<u32>(std::stoul(value));
-            } else if (arg == "--progress") {
-                options.progress = true;
-            } else if (consumeFlag(arg, "--csv", &value)) {
-                csv_path = value;
-            } else if (consumeFlag(arg, "--json", &value)) {
-                json_path = value;
-            } else if (consumeFlag(arg, "--sonicz", &value)) {
-                sonicz_path = value;
-            } else if (consumeFlag(arg, "--summary", &value)) {
-                summary_path = value;
-            } else if (arg == "--no-cache") {
-                options.useCache = false;
-            } else if (arg == "--require-cache-hits") {
-                require_cache_hits = true;
-            } else if (arg == "--allow-zero") {
-                allow_zero = true;
-            } else if (arg == "--require-delivered") {
-                require_delivered = true;
-            } else {
-                return usage();
-            }
+    for (const auto &trace : trace_args) {
+        const auto eq = trace.find('=');
+        if (eq == std::string::npos || eq == 0) {
+            std::cerr << "--trace expects NAME=FILE (got '"
+                      << trace << "')\n";
+            return 2;
         }
-    } catch (const std::exception &) { // bad numeric flag value
-        return usage();
+        std::string error;
+        if (!env::EnvRegistry::instance().addTraceFile(
+                trace.substr(0, eq), trace.substr(eq + 1),
+                &error)) {
+            std::cerr << "cannot register trace: " << error
+                      << "\n";
+            return 2;
+        }
+    }
+
+    for (const auto &arg : args) {
+        if (consumeFlag(arg, "--trace", &value)
+            || consumeFlag(arg, "--scenario", &value)
+            || consumeFlag(arg, "--from-plan", &value)) {
+            continue; // handled above
+        } else if (arg == "--list-envs") {
+            auto &registry = env::EnvRegistry::instance();
+            for (const auto &name : registry.names()) {
+                const auto *meta = registry.meta(name);
+                std::cout
+                    << name << " [" << meta->family << "] — "
+                    << meta->description << " (default "
+                    << env::formatCapacitance(
+                           meta->defaultCapacitanceFarads)
+                    << ")\n";
+            }
+            return 0;
+        } else if (arg == "--list-scenarios") {
+            for (const auto &scenario : fleet::namedScenarios())
+                std::cout << scenario.name << " — "
+                          << scenario.description << "\n";
+            return 0;
+        } else if (arg == "--list-pipelines") {
+            std::cout
+                << pipeline::PipelineRegistry::instance()
+                       .availableList();
+            return 0;
+        } else if (consumeFlag(arg, "--devices", &value)) {
+            if (!number("--devices", u32{1}, kU32Max, &plan.devices))
+                return 2;
+        } else if (consumeFlag(arg, "--nets", &value)) {
+            plan.nets = splitCsv(value);
+        } else if (consumeFlag(arg, "--impls", &value)) {
+            plan.impls.clear();
+            for (const auto &name : splitCsv(value)) {
+                const auto *info =
+                    kernels::ImplRegistry::instance().find(name);
+                if (info == nullptr)
+                    fatal("unknown implementation '", name, "'");
+                plan.impls.push_back(info->id);
+            }
+        } else if (consumeFlag(arg, "--envs", &value)) {
+            plan.environments.clear();
+            for (const auto &label : splitCsv(value)) {
+                env::EnvRef ref;
+                std::string error;
+                if (!env::parseEnvRef(label, &ref, &error))
+                    fatal(error);
+                plan.environments.push_back(std::move(ref));
+            }
+        } else if (consumeFlag(arg, "--pipelines", &value)) {
+            plan.pipelines = splitCsv(value);
+        } else if (consumeFlag(arg, "--horizon", &value)) {
+            if (!number("--horizon", kMinHorizonS, kMaxHorizonS,
+                        &plan.horizonSeconds))
+                return 2;
+        } else if (consumeFlag(arg, "--max-inferences", &value)) {
+            if (!number("--max-inferences", u32{0}, kU32Max,
+                        &plan.maxInferencesPerDevice))
+                return 2;
+        } else if (consumeFlag(arg, "--threads", &value)) {
+            if (!number("--threads", u32{0}, kMaxThreads,
+                        &options.threads))
+                return 2;
+        } else if (consumeFlag(arg, "--seed", &value)) {
+            if (!number("--seed", u64{0}, kU64Max, &plan.baseSeed))
+                return 2;
+        } else if (consumeFlag(arg, "--trace-out", &value)) {
+            trace_out_path = value;
+        } else if (consumeFlag(arg, "--trace-every", &value)) {
+            if (!number("--trace-every", u32{0}, kU32Max,
+                        &plan.traceEvery))
+                return 2;
+        } else if (arg == "--progress") {
+            options.progress = true;
+        } else if (consumeFlag(arg, "--csv", &value)) {
+            csv_path = value;
+        } else if (consumeFlag(arg, "--json", &value)) {
+            json_path = value;
+        } else if (consumeFlag(arg, "--sonicz", &value)) {
+            sonicz_path = value;
+        } else if (consumeFlag(arg, "--summary", &value)) {
+            summary_path = value;
+        } else if (arg == "--no-cache") {
+            options.useCache = false;
+        } else if (arg == "--require-cache-hits") {
+            require_cache_hits = true;
+        } else if (arg == "--allow-zero") {
+            allow_zero = true;
+        } else if (arg == "--require-delivered") {
+            require_delivered = true;
+        } else {
+            return usage();
+        }
+    }
+    if (plan.nets.empty() || plan.impls.empty()
+        || plan.environments.empty() || plan.pipelines.empty()) {
+        std::cerr << "--nets, --impls, --envs and --pipelines each need "
+                     "at least one entry\n";
+        return 2;
     }
 
     std::vector<fleet::FleetSink *> sinks;

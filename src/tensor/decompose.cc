@@ -9,29 +9,61 @@
 namespace sonic::tensor
 {
 
+namespace
+{
+
+/**
+ * Givens rotation of two rows: x' = c*x - s*y, y' = s*x + c*y per
+ * element. The rows never alias, so the compiler may vectorize the
+ * loop; each element keeps its scalar expression exactly.
+ */
+void
+rotateRows(f64 *__restrict x, f64 *__restrict y, u32 n, f64 c, f64 s)
+{
+    for (u32 k = 0; k < n; ++k) {
+        const f64 xk = x[k];
+        const f64 yk = y[k];
+        x[k] = c * xk - s * yk;
+        y[k] = s * xk + c * yk;
+    }
+}
+
+} // namespace
+
 EigenResult
 symmetricEigen(const Matrix &sym, u32 max_sweeps, f64 tol)
 {
     SONIC_ASSERT(sym.rows() == sym.cols(), "symmetricEigen needs square");
     const u32 n = sym.rows();
-    Matrix a = sym;
-    Matrix v = Matrix::identity(n);
+    // A stays a full matrix: rounding makes it asymmetric in the last
+    // ulp within the first sweep, and the column and row passes below
+    // must see those exact values. V is held transposed (row i is
+    // eigenvector i) so its rotation is a contiguous two-row update.
+    Matrix am = sym;
+    Matrix vt = Matrix::identity(n);
+    f64 *a = am.data().data();
+    f64 *v = vt.data().data();
+    const auto row = [n](f64 *m, u32 r) { return m + u64{r} * n; };
 
     for (u32 sweep = 0; sweep < max_sweeps; ++sweep) {
         f64 off = 0.0;
-        for (u32 p = 0; p < n; ++p)
+        for (u32 p = 0; p < n; ++p) {
+            const f64 *ap = row(a, p);
             for (u32 q = p + 1; q < n; ++q)
-                off += a.at(p, q) * a.at(p, q);
+                off += ap[q] * ap[q];
+        }
         if (off < tol * tol)
             break;
 
         for (u32 p = 0; p < n; ++p) {
+            f64 *ap = row(a, p);
             for (u32 q = p + 1; q < n; ++q) {
-                const f64 apq = a.at(p, q);
+                f64 *aq = row(a, q);
+                const f64 apq = ap[q];
                 if (std::fabs(apq) < 1e-300)
                     continue;
-                const f64 app = a.at(p, p);
-                const f64 aqq = a.at(q, q);
+                const f64 app = ap[p];
+                const f64 aqq = aq[q];
                 const f64 theta = (aqq - app) / (2.0 * apq);
                 const f64 t = (theta >= 0.0 ? 1.0 : -1.0)
                     / (std::fabs(theta)
@@ -39,24 +71,15 @@ symmetricEigen(const Matrix &sym, u32 max_sweeps, f64 tol)
                 const f64 c = 1.0 / std::sqrt(t * t + 1.0);
                 const f64 s = t * c;
 
-                for (u32 k = 0; k < n; ++k) {
-                    const f64 akp = a.at(k, p);
-                    const f64 akq = a.at(k, q);
-                    a.at(k, p) = c * akp - s * akq;
-                    a.at(k, q) = s * akp + c * akq;
+                // Column pass (A <- A J), then row pass (A <- J^T A).
+                for (f64 *ak = a; ak != a + u64{n} * n; ak += n) {
+                    const f64 akp = ak[p];
+                    const f64 akq = ak[q];
+                    ak[p] = c * akp - s * akq;
+                    ak[q] = s * akp + c * akq;
                 }
-                for (u32 k = 0; k < n; ++k) {
-                    const f64 apk = a.at(p, k);
-                    const f64 aqk = a.at(q, k);
-                    a.at(p, k) = c * apk - s * aqk;
-                    a.at(q, k) = s * apk + c * aqk;
-                }
-                for (u32 k = 0; k < n; ++k) {
-                    const f64 vkp = v.at(k, p);
-                    const f64 vkq = v.at(k, q);
-                    v.at(k, p) = c * vkp - s * vkq;
-                    v.at(k, q) = s * vkp + c * vkq;
-                }
+                rotateRows(ap, aq, n, c, s);
+                rotateRows(row(v, p), row(v, q), n, c, s);
             }
         }
     }
@@ -65,16 +88,18 @@ symmetricEigen(const Matrix &sym, u32 max_sweeps, f64 tol)
     std::vector<u32> order(n);
     std::iota(order.begin(), order.end(), 0u);
     std::sort(order.begin(), order.end(), [&](u32 x, u32 y) {
-        return a.at(x, x) > a.at(y, y);
+        return row(a, x)[x] > row(a, y)[y];
     });
 
     EigenResult result;
     result.values.resize(n);
     result.vectors = Matrix(n, n);
+    f64 *out = result.vectors.data().data();
     for (u32 i = 0; i < n; ++i) {
-        result.values[i] = a.at(order[i], order[i]);
+        result.values[i] = row(a, order[i])[order[i]];
+        const f64 *vi = row(v, order[i]);
         for (u32 r = 0; r < n; ++r)
-            result.vectors.at(r, i) = v.at(r, order[i]);
+            out[u64{r} * n + i] = vi[r];
     }
     return result;
 }
@@ -117,42 +142,48 @@ truncatedSvd(const Matrix &a, u32 k)
 
     SvdResult result;
     result.s.resize(k);
-    if (use_rows) {
-        result.u = Matrix(m, k);
-        result.v = Matrix(n, k);
-        for (u32 i = 0; i < k; ++i) {
-            const f64 sigma = std::sqrt(std::max(0.0, eig.values[i]));
-            result.s[i] = sigma;
-            for (u32 r = 0; r < m; ++r)
-                result.u.at(r, i) = eig.vectors.at(r, i);
-            // v_i = A^T u_i / sigma
-            if (sigma > 1e-300) {
-                for (u32 c = 0; c < n; ++c) {
-                    f64 acc = 0.0;
-                    for (u32 r = 0; r < m; ++r)
-                        acc += a.at(r, c) * eig.vectors.at(r, i);
-                    result.v.at(c, i) = acc / sigma;
-                }
+    result.u = Matrix(m, k);
+    result.v = Matrix(n, k);
+    // The eigenvectors span the Gram side (U when use_rows, else V);
+    // the other side is A^T u_i / sigma or A v_i / sigma. Each of
+    // those sums runs in ascending index order from 0.0.
+    const u32 g = use_rows ? m : n;
+    const u32 other = use_rows ? n : m;
+    Matrix &gram_side = use_rows ? result.u : result.v;
+    Matrix &other_side = use_rows ? result.v : result.u;
+    const f64 *arow0 = a.data().data();
+    std::vector<f64> vec(g);
+    std::vector<f64> acc(other);
+    for (u32 i = 0; i < k; ++i) {
+        const f64 sigma = std::sqrt(std::max(0.0, eig.values[i]));
+        result.s[i] = sigma;
+        for (u32 r = 0; r < g; ++r) {
+            vec[r] = eig.vectors.data()[u64{r} * g + i];
+            gram_side.data()[u64{r} * k + i] = vec[r];
+        }
+        if (!(sigma > 1e-300))
+            continue;
+        if (use_rows) {
+            // acc[c] = sum_r A(r, c) * u_i[r], swept a row at a time.
+            std::fill(acc.begin(), acc.end(), 0.0);
+            for (u32 r = 0; r < m; ++r) {
+                const f64 *__restrict arow = arow0 + u64{r} * n;
+                f64 *__restrict out = acc.data();
+                const f64 ur = vec[r];
+                for (u32 c = 0; c < n; ++c)
+                    out[c] += arow[c] * ur;
+            }
+        } else {
+            for (u32 r = 0; r < m; ++r) {
+                const f64 *arow = arow0 + u64{r} * n;
+                f64 sum = 0.0;
+                for (u32 c = 0; c < n; ++c)
+                    sum += arow[c] * vec[c];
+                acc[r] = sum;
             }
         }
-    } else {
-        result.u = Matrix(m, k);
-        result.v = Matrix(n, k);
-        for (u32 i = 0; i < k; ++i) {
-            const f64 sigma = std::sqrt(std::max(0.0, eig.values[i]));
-            result.s[i] = sigma;
-            for (u32 c = 0; c < n; ++c)
-                result.v.at(c, i) = eig.vectors.at(c, i);
-            // u_i = A v_i / sigma
-            if (sigma > 1e-300) {
-                for (u32 r = 0; r < m; ++r) {
-                    f64 acc = 0.0;
-                    for (u32 c = 0; c < n; ++c)
-                        acc += a.at(r, c) * eig.vectors.at(c, i);
-                    result.u.at(r, i) = acc / sigma;
-                }
-            }
-        }
+        for (u32 j = 0; j < other; ++j)
+            other_side.data()[u64{j} * k + i] = acc[j] / sigma;
     }
     return result;
 }

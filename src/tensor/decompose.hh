@@ -26,9 +26,18 @@ struct EigenResult
 };
 
 /**
- * Jacobi eigendecomposition of a symmetric matrix. O(n^3) per sweep;
- * intended for the small Gram matrices (n <= a few hundred) that arise
- * when decomposing our layers.
+ * Cyclic Jacobi eigendecomposition of a symmetric matrix. O(n^3) per
+ * sweep; intended for the small Gram matrices (n <= a few hundred)
+ * that arise when decomposing our layers.
+ *
+ * Every compressed paper network is derived from these bits, so the
+ * per-element arithmetic is part of the contract: the rotation order
+ * (p ascending, then q), each element's expression (c*x - s*y,
+ * s*x + c*y), the column pass before the row pass, and the skip and
+ * convergence tests. The Pinned tests in tests/test_tensor.cc and
+ * ModelZoo.PaperArtifactsArePinned in tests/test_zoo.cc hold those
+ * bits; loops may be restructured for speed, never reordered or
+ * reassociated.
  */
 EigenResult symmetricEigen(const Matrix &sym, u32 max_sweeps = 64,
                            f64 tol = 1e-12);
@@ -49,7 +58,9 @@ struct SvdResult
 
 /**
  * Rank-k SVD computed via eigendecomposition of the smaller Gram
- * matrix (numerically adequate for compression use).
+ * matrix (numerically adequate for compression use). Each projected
+ * factor element (A^T u / sigma or A v / sigma) sums in ascending
+ * index order from 0.0, pinned like symmetricEigen.
  */
 SvdResult truncatedSvd(const Matrix &a, u32 k);
 

@@ -1,5 +1,6 @@
 #include "tensor/matrix.hh"
 
+#include <algorithm>
 #include <cmath>
 
 namespace sonic::tensor
@@ -26,10 +27,21 @@ Matrix::gaussian(u32 rows, u32 cols, Rng &rng, f64 stddev)
 Matrix
 Matrix::transpose() const
 {
+    // Copy in square tiles so both the reads and the writes stay
+    // within a few cache lines.
+    constexpr u32 kTile = 32;
     Matrix t(cols_, rows_);
-    for (u32 r = 0; r < rows_; ++r)
-        for (u32 c = 0; c < cols_; ++c)
-            t.at(c, r) = at(r, c);
+    const f64 *src = data_.data();
+    f64 *dst = t.data_.data();
+    for (u32 r0 = 0; r0 < rows_; r0 += kTile) {
+        const u32 r1 = std::min(rows_, r0 + kTile);
+        for (u32 c0 = 0; c0 < cols_; c0 += kTile) {
+            const u32 c1 = std::min(cols_, c0 + kTile);
+            for (u32 r = r0; r < r1; ++r)
+                for (u32 c = c0; c < c1; ++c)
+                    dst[u64{c} * rows_ + r] = src[u64{r} * cols_ + c];
+        }
+    }
     return t;
 }
 
@@ -37,14 +49,21 @@ Matrix
 Matrix::matmul(const Matrix &other) const
 {
     SONIC_ASSERT(cols_ == other.rows_, "matmul shape mismatch");
-    Matrix out(rows_, other.cols_);
+    const u32 n = other.cols_;
+    Matrix out(rows_, n);
+    // out(r, c) accumulates a(r, k) * b(k, c) in ascending k from 0.0,
+    // skipping zero a(r, k); sweeping whole rows of b vectorizes that
+    // without reordering any element's sum.
     for (u32 r = 0; r < rows_; ++r) {
+        const f64 *arow = data_.data() + u64{r} * cols_;
+        f64 *__restrict orow = out.data_.data() + u64{r} * n;
         for (u32 k = 0; k < cols_; ++k) {
-            const f64 a = at(r, k);
+            const f64 a = arow[k];
             if (a == 0.0)
                 continue;
-            for (u32 c = 0; c < other.cols_; ++c)
-                out.at(r, c) += a * other.at(k, c);
+            const f64 *__restrict brow = other.data_.data() + u64{k} * n;
+            for (u32 c = 0; c < n; ++c)
+                orow[c] += a * brow[c];
         }
     }
     return out;

@@ -59,7 +59,11 @@ class Matrix
 
     Matrix transpose() const;
 
-    /** this * other. */
+    /**
+     * this * other. Each output element sums its products in ascending
+     * k from 0.0, skipping zero entries of this; that order is pinned
+     * (see tensor/decompose.hh).
+     */
     Matrix matmul(const Matrix &other) const;
 
     /** this * vec (vec.size() == cols). */

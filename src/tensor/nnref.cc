@@ -1,6 +1,7 @@
 #include "tensor/nnref.hh"
 
 #include <algorithm>
+#include <cstddef>
 
 #include "util/logging.hh"
 
@@ -26,6 +27,81 @@ FilterBank::macs(u32 in_h, u32 in_w) const
     return out_h * out_w * outChannels * inChannels * kh * kw;
 }
 
+namespace
+{
+
+/** Outputs per register strip in conv2dValid. */
+constexpr u32 kStrip = 8;
+
+/** A non-zero filter tap and the offset of its input element. */
+struct Tap
+{
+    f64 w;
+    u64 offset; ///< of in(ic, fy, fx) from in(0, 0, 0)
+};
+
+/**
+ * Sum every tap into one strip of kStrip outputs (at s0 -> d0) or,
+ * with Two, into a second strip (s1 -> d1) in the same pass. The
+ * accumulators are named scalars so they stay in registers across all
+ * taps at any optimization level; s + tap.offset is the input under a
+ * strip's first output for that tap.
+ */
+template <bool Two>
+void
+convStrips(const std::vector<Tap> &taps, const f64 *s0, const f64 *s1,
+           f64 *d0, f64 *d1)
+{
+    static_assert(kStrip == 8, "one accumulator per strip output");
+    f64 a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    f64 a4 = 0.0, a5 = 0.0, a6 = 0.0, a7 = 0.0;
+    f64 b0 = 0.0, b1 = 0.0, b2 = 0.0, b3 = 0.0;
+    f64 b4 = 0.0, b5 = 0.0, b6 = 0.0, b7 = 0.0;
+    for (const Tap &tap : taps) {
+        const f64 w = tap.w;
+        const f64 *x = s0 + tap.offset;
+        a0 += w * x[0];
+        a1 += w * x[1];
+        a2 += w * x[2];
+        a3 += w * x[3];
+        a4 += w * x[4];
+        a5 += w * x[5];
+        a6 += w * x[6];
+        a7 += w * x[7];
+        if constexpr (Two) {
+            const f64 *y = s1 + tap.offset;
+            b0 += w * y[0];
+            b1 += w * y[1];
+            b2 += w * y[2];
+            b3 += w * y[3];
+            b4 += w * y[4];
+            b5 += w * y[5];
+            b6 += w * y[6];
+            b7 += w * y[7];
+        }
+    }
+    d0[0] = a0;
+    d0[1] = a1;
+    d0[2] = a2;
+    d0[3] = a3;
+    d0[4] = a4;
+    d0[5] = a5;
+    d0[6] = a6;
+    d0[7] = a7;
+    if constexpr (Two) {
+        d1[0] = b0;
+        d1[1] = b1;
+        d1[2] = b2;
+        d1[3] = b3;
+        d1[4] = b4;
+        d1[5] = b5;
+        d1[6] = b6;
+        d1[7] = b7;
+    }
+}
+
+} // namespace
+
 FeatureMap
 conv2dValid(const FeatureMap &in, const FilterBank &filters)
 {
@@ -36,22 +112,54 @@ conv2dValid(const FeatureMap &in, const FilterBank &filters)
     const u32 oh = in.height - filters.kh + 1;
     const u32 ow = in.width - filters.kw + 1;
     FeatureMap out(filters.outChannels, oh, ow);
-    // Iterate filter taps outermost and skip pruned (zero) taps so
-    // sparse banks evaluate in O(nnz * positions).
+
+    // Each output element sums w * in over its filter's non-zero taps
+    // in ascending (ic, fy, fx) order, starting from 0.0; pruned (zero)
+    // taps are skipped, so sparse banks cost O(nnz * positions). Rows
+    // are cut into kStrip-wide strips, two summed at a time; a row
+    // whose width is not a multiple of kStrip ends with a strip that
+    // overlaps the one before it, which is exact because each
+    // element's sum is the same whichever strip computes it.
+    std::vector<Tap> taps;
+    std::vector<const f64 *> src;
+    std::vector<f64 *> dst;
+    const f64 *weights = filters.data.data();
     for (u32 oc = 0; oc < filters.outChannels; ++oc) {
-        for (u32 ic = 0; ic < filters.inChannels; ++ic) {
-            for (u32 fy = 0; fy < filters.kh; ++fy) {
+        taps.clear();
+        for (u32 ic = 0; ic < filters.inChannels; ++ic)
+            for (u32 fy = 0; fy < filters.kh; ++fy)
                 for (u32 fx = 0; fx < filters.kw; ++fx) {
-                    const f64 w = filters.at(oc, ic, fy, fx);
-                    if (w == 0.0)
-                        continue;
-                    for (u32 y = 0; y < oh; ++y)
-                        for (u32 x = 0; x < ow; ++x)
-                            out.at(oc, y, x) +=
-                                w * in.at(ic, y + fy, x + fx);
+                    const f64 w = *weights++;
+                    if (w != 0.0)
+                        taps.push_back(
+                            {w, (u64{ic} * in.height + fy) * in.width
+                                    + fx});
                 }
-            }
+        if (ow < kStrip) {
+            for (u32 y = 0; y < oh; ++y)
+                for (u32 x = 0; x < ow; ++x) {
+                    const f64 *at = in.data.data() + u64{y} * in.width + x;
+                    f64 acc = 0.0;
+                    for (const Tap &tap : taps)
+                        acc += tap.w * at[tap.offset];
+                    out.at(oc, y, x) = acc;
+                }
+            continue;
         }
+        src.clear();
+        dst.clear();
+        for (u32 y = 0; y < oh; ++y)
+            for (u32 x0 = 0; x0 < ow; x0 += kStrip) {
+                const u32 x = std::min(x0, ow - kStrip);
+                src.push_back(in.data.data() + u64{y} * in.width + x);
+                dst.push_back(&out.at(oc, y, x));
+            }
+        std::size_t i = 0;
+        for (; i + 2 <= src.size(); i += 2)
+            convStrips<true>(taps, src[i], src[i + 1], dst[i],
+                             dst[i + 1]);
+        if (i < src.size())
+            convStrips<false>(taps, src[i], nullptr, dst[i], nullptr);
     }
     return out;
 }

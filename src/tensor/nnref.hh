@@ -83,7 +83,11 @@ struct FilterBank
     u64 macs(u32 in_h, u32 in_w) const;
 };
 
-/** Dense valid convolution, stride 1. */
+/**
+ * Dense valid convolution, stride 1. Each output element sums its
+ * non-zero taps in ascending (ic, fy, fx) order from 0.0; that order
+ * is pinned (see tensor/decompose.hh).
+ */
 FeatureMap conv2dValid(const FeatureMap &in, const FilterBank &filters);
 
 /** Per-map 1-D convolutions (same channel count in and out). */

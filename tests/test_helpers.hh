@@ -9,6 +9,10 @@
 #ifndef SONIC_TESTS_TEST_HELPERS_HH
 #define SONIC_TESTS_TEST_HELPERS_HH
 
+#include <cstddef>
+#include <string>
+#include <vector>
+
 #include "dnn/spec.hh"
 #include "fixed/fixed.hh"
 #include "tensor/sparse.hh"
@@ -90,6 +94,37 @@ tinyInput(u64 seed = 0xcafe)
         input.push_back(
             fixed::Q78::fromFloat(rng.uniform(-1.0, 1.0)).raw());
     return input;
+}
+
+/** FNV-1a 64 offset basis: the seed of a fresh bitDigest chain. */
+inline constexpr u64 kDigestBasis = 0xcbf29ce484222325ull;
+
+/**
+ * FNV-1a over raw bytes, chained through h. Folding the bytes (not the
+ * values) makes the digest a bit-exact pin: an f64 that moves by one
+ * ulp, or flips the sign of a zero, changes it.
+ */
+inline u64
+bitDigest(const void *data, std::size_t bytes, u64 h = kDigestBasis)
+{
+    const auto *p = static_cast<const unsigned char *>(data);
+    for (std::size_t i = 0; i < bytes; ++i) {
+        h ^= p[i];
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+inline u64
+bitDigest(const std::vector<f64> &v, u64 h = kDigestBasis)
+{
+    return bitDigest(v.data(), v.size() * sizeof(f64), h);
+}
+
+inline u64
+bitDigest(const std::string &s, u64 h = kDigestBasis)
+{
+    return bitDigest(s.data(), s.size(), h);
 }
 
 } // namespace sonic::testutil

@@ -2,10 +2,12 @@
  * @file
  * Unit tests for the host tensor kit: matrices, decompositions
  * (symmetric eigen, truncated SVD, rank-1 CP), pruning, sparse
- * formats, and the reference NN primitives.
+ * formats, the reference NN primitives, and bit pins of the
+ * decompositions and the conv loop.
  */
 
 #include <cmath>
+#include <utility>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +15,7 @@
 #include "tensor/matrix.hh"
 #include "tensor/nnref.hh"
 #include "tensor/sparse.hh"
+#include "test_helpers.hh"
 #include "util/rng.hh"
 
 namespace sonic::tensor
@@ -337,6 +340,79 @@ TEST(NnRef, MacsCount)
     FilterBank f(4, 3, 2, 2);
     // 4*3*2*2 taps x (5-2+1)*(6-2+1) positions
     EXPECT_EQ(f.macs(5, 6), u64{4} * 3 * 2 * 2 * 4 * 5);
+}
+
+// Bit pins. The decompositions and reference loops below feed every
+// compressed network and dataset in the zoo, so their per-element
+// arithmetic (operation order, skip tests, starting values) is part
+// of the contract. Restructuring a loop must leave these digests
+// alone; a deliberate numeric change re-pins them and every
+// downstream artifact in the same commit.
+
+/** A seeded wide matrix with ~1/7 exact zeros (matmul's skip path). */
+Matrix
+pinMatrix()
+{
+    Rng rng(0xb175);
+    Matrix a = Matrix::gaussian(48, 130, rng);
+    for (u64 i = 0; i < a.size(); i += 7)
+        a.data()[i] = 0.0;
+    return a;
+}
+
+u64
+digestOf(const Matrix &m, u64 h = testutil::kDigestBasis)
+{
+    return testutil::bitDigest(m.data(), h);
+}
+
+TEST(Pinned, SymmetricEigenBits)
+{
+    const Matrix a = pinMatrix();
+    const auto eig = symmetricEigen(a.matmul(a.transpose()));
+    const u64 d = digestOf(eig.vectors, testutil::bitDigest(eig.values));
+    EXPECT_EQ(d, 0x0b4d54c395155586ull) << std::hex << d;
+}
+
+TEST(Pinned, TruncatedSvdBitsBothGramSides)
+{
+    const Matrix a = pinMatrix();
+    // 48 x 130 works on A A^T; the transpose works on A^T A.
+    for (const auto &[m, want] :
+         {std::pair{a, 0x7d42b66489c0e649ull},
+          std::pair{a.transpose(), 0x55738965456ec051ull}}) {
+        const auto svd = truncatedSvd(m, 9);
+        const u64 d = digestOf(
+            svd.v, digestOf(svd.u, testutil::bitDigest(svd.s)));
+        EXPECT_EQ(d, want) << std::hex << d;
+    }
+}
+
+TEST(Pinned, Conv2dValidBits)
+{
+    // Output widths 9 (one full strip plus an overlapping one), 5 (the
+    // scalar path) and 24 (three strips); ~1/5 of the taps pruned.
+    struct Shape
+    {
+        u32 c, h, w, oc, kh, kw;
+        u64 want;
+    };
+    const Shape shapes[] = {
+        {3, 13, 11, 5, 4, 3, 0x627b23263c8d1bf8ull},
+        {2, 7, 6, 3, 3, 2, 0xbf0a2c4ad52b729full},
+        {1, 28, 28, 4, 5, 5, 0x58e2a435a47ea835ull},
+    };
+    Rng rng(0xc0);
+    for (const auto &sh : shapes) {
+        FeatureMap in(sh.c, sh.h, sh.w);
+        for (auto &v : in.data)
+            v = rng.gaussian();
+        FilterBank f(sh.oc, sh.c, sh.kh, sh.kw);
+        for (u64 i = 0; i < f.data.size(); ++i)
+            f.data[i] = i % 5 == 2 ? 0.0 : rng.gaussian();
+        const u64 d = testutil::bitDigest(conv2dValid(in, f).data);
+        EXPECT_EQ(d, sh.want) << std::hex << d;
+    }
 }
 
 /** SVD rank sweep as a parameterized property: reconstruction is

@@ -1,7 +1,7 @@
 /**
  * @file
- * Unit tests for util: deterministic RNG, table formatting, and the
- * shortest-round-trip f64 formatter.
+ * Unit tests for util: deterministic RNG, table formatting, the
+ * shortest-round-trip f64 formatter, and checked CLI number parsing.
  */
 
 #include <gtest/gtest.h>
@@ -9,9 +9,13 @@
 #include <bit>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <limits>
+#include <optional>
 #include <random>
 #include <string>
 
+#include "util/cli.hh"
 #include "util/fmt.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
@@ -198,6 +202,69 @@ TEST(FmtF64, RoundTripsRandomBitPatterns)
     const f64 a = 0.1234567890123456;
     const f64 b = std::nextafter(a, 1.0);
     EXPECT_NE(fmtF64(a), fmtF64(b));
+}
+
+TEST(ParseNumber, AcceptsWholeValuesInRange)
+{
+    EXPECT_EQ(cli::parseNumber<u32>("--n", "1", 1, 10), 1u);
+    EXPECT_EQ(cli::parseNumber<u32>("--n", "10", 1, 10), 10u);
+    EXPECT_EQ(cli::parseNumber<u32>("--n", "4294967295", 0, UINT32_MAX),
+              UINT32_MAX);
+    EXPECT_EQ(cli::parseNumber<u64>("--seed", "18446744073709551615", 0,
+                                    UINT64_MAX),
+              UINT64_MAX);
+    EXPECT_EQ(cli::parseNumber<f64>("--h", "86400", 1e-3, 1e9), 86400.0);
+    EXPECT_EQ(cli::parseNumber<f64>("--h", "2.5e3", 1e-3, 1e9), 2500.0);
+}
+
+TEST(ParseNumber, RejectsOverflowInsteadOfTruncating)
+{
+    // stoul + cast turned this into 1,215,752,191 devices.
+    std::string error;
+    EXPECT_EQ(cli::parseNumber<u32>("--devices", "99999999999999", 1,
+                                    UINT32_MAX, &error),
+              std::nullopt);
+    EXPECT_EQ(error, "--devices expects an integer in [1, 4294967295], "
+                     "got '99999999999999'");
+    EXPECT_EQ(cli::parseNumber<u32>("--n", "4294967296", 0, UINT32_MAX),
+              std::nullopt);
+    EXPECT_EQ(cli::parseNumber<u64>("--n", "18446744073709551616", 0,
+                                    UINT64_MAX),
+              std::nullopt);
+    EXPECT_EQ(cli::parseNumber<f64>("--h", "1e400", 0.0, 1e300),
+              std::nullopt);
+}
+
+TEST(ParseNumber, RejectsOutOfRange)
+{
+    std::string error;
+    EXPECT_EQ(cli::parseNumber<u32>("--devices", "0", 1, 10, &error),
+              std::nullopt);
+    EXPECT_EQ(error, "--devices expects an integer in [1, 10], got '0'");
+    EXPECT_EQ(cli::parseNumber<u32>("--n", "11", 1, 10), std::nullopt);
+    EXPECT_EQ(cli::parseNumber<f64>("--horizon", "-1", 1e-3, 1e9, &error),
+              std::nullopt);
+    EXPECT_EQ(error, "--horizon expects a finite number in [0.001, "
+                     "1e+09], got '-1'");
+    EXPECT_EQ(cli::parseNumber<f64>("--h", "0", 1e-3, 1e9), std::nullopt);
+}
+
+TEST(ParseNumber, RejectsNonFiniteAndMalformedText)
+{
+    const f64 big = std::numeric_limits<f64>::max();
+    for (const char *bad : {"nan", "NaN", "inf", "-inf", "infinity"})
+        EXPECT_EQ(cli::parseNumber<f64>("--h", bad, -big, big),
+                  std::nullopt)
+            << bad;
+    for (const char *bad : {"", " 5", "5 ", "+5", "-1", "5x", "0x10",
+                            "1.5", "1e3", "--5"})
+        EXPECT_EQ(cli::parseNumber<u32>("--n", bad, 0, UINT32_MAX),
+                  std::nullopt)
+            << "'" << bad << "'";
+    for (const char *bad : {"", "1.5s", "1,5", " 1", "."})
+        EXPECT_EQ(cli::parseNumber<f64>("--h", bad, -big, big),
+                  std::nullopt)
+            << "'" << bad << "'";
 }
 
 } // namespace

@@ -3,15 +3,18 @@
  * Tests for the model zoo and the declarative NetworkBuilder: registry
  * semantics (lazy caching, registration order, duplicate/unknown
  * names), builder shape propagation and fusion, the synthetic model
- * families, generic knob compression, and the unknown-model error
- * paths in SweepPlan and Engine.
+ * families, generic knob compression, the unknown-model error
+ * paths in SweepPlan and Engine, and bit pins of the paper workloads'
+ * teachers, compressed networks and datasets.
  */
 
 #include <gtest/gtest.h>
 
 #include "app/engine.hh"
 #include "dnn/builder.hh"
+#include "dnn/model_io.hh"
 #include "dnn/zoo.hh"
+#include "test_helpers.hh"
 
 namespace sonic::dnn
 {
@@ -179,6 +182,89 @@ TEST(ModelZoo, GenericKnobCompressionShrinksSyntheticTeachers)
     const auto compressed = entry.withKnobs(lean, 0x5eed);
     EXPECT_LT(compressed.paramCount(), entry.teacher().paramCount());
     EXPECT_EQ(compressed.numClasses, entry.teacher().numClasses);
+}
+
+/** GENESIS grid points off the Table 2 default: separate+prune at
+ * half budgets with doubled ranks, and prune-only. */
+std::vector<CompressionKnobs>
+genesisKnobs()
+{
+    CompressionKnobs lean;
+    lean.fcKeep = 0.5;
+    lean.convKeep = 0.5;
+    lean.fcRankScale = 2.0;
+    CompressionKnobs prune;
+    prune.separateConv = false;
+    prune.svdFc = false;
+    prune.fcKeep = 0.1;
+    return {lean, prune};
+}
+
+/** Digest of a network's model_io serialization (every weight bit). */
+u64
+netDigest(const NetworkSpec &net, u64 h = testutil::kDigestBasis)
+{
+    return testutil::bitDigest(modelJson(net), h);
+}
+
+TEST(ModelZoo, PaperArtifactsArePinned)
+{
+    // Every bit of the teacher, the Table 2 network, the GENESIS knob
+    // variants and every dataset sample (input bits and label) is
+    // pinned; see the Pinned tests in test_tensor.cc.
+    struct Pin
+    {
+        const char *net;
+        u64 teacher, compressed, knobs, dataset;
+    };
+    const Pin pins[] = {
+        {"MNIST", 0x1646b9118d1a8013ull, 0xd7674448877c380full,
+         0x275f8cbf6810f4d5ull, 0x060acb7188deaf2cull},
+        {"HAR", 0x1588c94651e081faull, 0x485139434e64ff61ull,
+         0x08c7a393378f7d43ull, 0xfb8ac070a16920f6ull},
+        {"OkG", 0xc18e00e5d8e989f1ull, 0x33a8b0d17e75406aull,
+         0x7a10f98606feb8dfull, 0x4bea2a03e84da547ull},
+    };
+    for (const auto &pin : pins) {
+        SCOPED_TRACE(pin.net);
+        const auto &entry = ModelZoo::instance().get(pin.net);
+        const u64 teacher = netDigest(entry.teacher());
+        const u64 compressed = netDigest(entry.compressed());
+        u64 knobs = testutil::kDigestBasis;
+        for (const auto &k : genesisKnobs())
+            knobs = netDigest(entry.withKnobs(k, 0x5eed), knobs);
+        u64 dataset = testutil::kDigestBasis;
+        for (const auto &sample : entry.dataset()) {
+            dataset = testutil::bitDigest(sample.input.data, dataset);
+            dataset = testutil::bitDigest(&sample.label,
+                                          sizeof sample.label, dataset);
+        }
+        EXPECT_EQ(teacher, pin.teacher) << std::hex << teacher;
+        EXPECT_EQ(compressed, pin.compressed) << std::hex << compressed;
+        EXPECT_EQ(knobs, pin.knobs) << std::hex << knobs;
+        EXPECT_EQ(dataset, pin.dataset) << std::hex << dataset;
+    }
+}
+
+TEST(ModelZoo, PaperEntriesCompressTheTeacherTheyBuilt)
+{
+    // The zoo compresses the teacher it already holds instead of
+    // building a second copy; every path to a compressed paper net
+    // must serialize to the same bytes.
+    for (const NetId id : {NetId::Mnist, NetId::Har, NetId::Okg}) {
+        SCOPED_TRACE(netName(id));
+        const auto &entry = ModelZoo::instance().get(netName(id));
+        const NetworkSpec teacher = buildTeacher(id);
+        EXPECT_EQ(modelJson(teacher), modelJson(entry.teacher()));
+        const std::string table2 = modelJson(buildCompressed(id));
+        EXPECT_EQ(table2, modelJson(compressTeacher(id, teacher, {})));
+        EXPECT_EQ(table2, modelJson(entry.compressed()));
+        // A GENESIS prune-only grid point (the SVD path is covered by
+        // the default knobs above and pinned for the other point).
+        const CompressionKnobs prune = genesisKnobs().back();
+        EXPECT_EQ(modelJson(entry.withKnobs(prune, 0x5eed)),
+                  modelJson(compressTeacher(id, teacher, prune)));
+    }
 }
 
 TEST(Builder, TracksShapesThroughConvPoolAndFc)
