@@ -24,6 +24,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -41,6 +42,12 @@ namespace
 using namespace sonic;
 using cli::consumeFlag;
 using cli::splitCsv;
+
+constexpr u64 kU64Max = std::numeric_limits<u64>::max();
+
+/** --samples cap: the sample axis is materialized as an index list,
+ * and every sample multiplies the run count. */
+constexpr u32 kMaxSamples = 1u << 16;
 
 int
 usage()
@@ -71,83 +78,89 @@ main(int argc, char **argv)
     // --from-plan resolves first so explicit axis flags override the
     // plan's axes, whatever the flag order was.
     std::vector<std::string> args(argv + 1, argv + argc);
-    try {
-        for (const auto &arg : args) {
-            if (!consumeFlag(arg, "--from-plan", &value))
-                continue;
-            std::ifstream in(value);
-            if (!in) {
-                std::cerr << "cannot read " << value << "\n";
-                return 2;
-            }
-            std::ostringstream text;
-            text << in.rdbuf();
-            plan::Plan deployment;
-            std::string error;
-            if (!plan::Plan::fromJson(text.str(), &deployment,
-                                      &error)) {
-                std::cerr << "bad plan " << value << ": " << error
-                          << "\n";
-                return 2;
-            }
-            plan = deployment.toSweepPlan();
+    for (const auto &arg : args) {
+        if (!consumeFlag(arg, "--from-plan", &value))
+            continue;
+        std::ifstream in(value);
+        if (!in) {
+            std::cerr << "cannot read " << value << "\n";
+            return 2;
         }
+        std::ostringstream text;
+        text << in.rdbuf();
+        plan::Plan deployment;
+        std::string error;
+        if (!plan::Plan::fromJson(text.str(), &deployment,
+                                  &error)) {
+            std::cerr << "bad plan " << value << ": " << error
+                      << "\n";
+            return 2;
+        }
+        plan = deployment.toSweepPlan();
+    }
 
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--from-plan", &value)) {
-                continue; // handled above
-            } else if (consumeFlag(arg, "--nets", &value)) {
-                std::vector<dnn::NetRef> nets;
-                for (const auto &name : splitCsv(value))
-                    nets.push_back(name);
-                plan.nets(std::move(nets));
-            } else if (consumeFlag(arg, "--impls", &value)) {
-                plan.implNames(splitCsv(value));
-            } else if (consumeFlag(arg, "--power", &value)) {
-                std::vector<app::PowerKind> kinds;
-                for (const auto &name : splitCsv(value)) {
-                    app::PowerKind kind;
-                    if (!app::powerFromName(name, &kind))
-                        fatal("unknown power kind '", name,
-                              "' (Continuous | 50mF | 1mF | 100uF)");
-                    kinds.push_back(kind);
-                }
-                plan.power(std::move(kinds));
-            } else if (consumeFlag(arg, "--envs", &value)) {
-                plan.environmentLabels(splitCsv(value));
-            } else if (consumeFlag(arg, "--profiles", &value)) {
-                std::vector<app::ProfileVariant> variants;
-                for (const auto &name : splitCsv(value)) {
-                    app::ProfileVariant variant;
-                    if (!app::profileFromName(name, &variant))
-                        fatal("unknown profile '", name,
-                              "' (standard | no-lea | no-dma)");
-                    variants.push_back(variant);
-                }
-                plan.profiles(std::move(variants));
-            } else if (consumeFlag(arg, "--samples", &value)) {
-                plan.samples(static_cast<u32>(std::stoul(value)));
-            } else if (consumeFlag(arg, "--seed", &value)) {
-                plan.baseSeed(std::stoull(value));
-            } else if (consumeFlag(arg, "--threads", &value)) {
-                engine_options.threads =
-                    static_cast<u32>(std::stoul(value));
-            } else if (arg == "--progress") {
-                engine_options.progress = true;
-            } else if (arg == "--digests") {
-                plan.captureNvmDigests(true);
-            } else if (consumeFlag(arg, "--csv", &value)) {
-                csv_path = value;
-            } else if (consumeFlag(arg, "--json", &value)) {
-                json_path = value;
-            } else if (consumeFlag(arg, "--sonicz", &value)) {
-                sonicz_path = value;
-            } else {
-                return usage();
+    for (const auto &arg : args) {
+        if (consumeFlag(arg, "--from-plan", &value)) {
+            continue; // handled above
+        } else if (consumeFlag(arg, "--nets", &value)) {
+            std::vector<dnn::NetRef> nets;
+            for (const auto &name : splitCsv(value))
+                nets.push_back(name);
+            plan.nets(std::move(nets));
+        } else if (consumeFlag(arg, "--impls", &value)) {
+            plan.implNames(splitCsv(value));
+        } else if (consumeFlag(arg, "--power", &value)) {
+            std::vector<app::PowerKind> kinds;
+            for (const auto &name : splitCsv(value)) {
+                app::PowerKind kind;
+                if (!app::powerFromName(name, &kind))
+                    fatal("unknown power kind '", name,
+                          "' (Continuous | 50mF | 1mF | 100uF)");
+                kinds.push_back(kind);
             }
+            plan.power(std::move(kinds));
+        } else if (consumeFlag(arg, "--envs", &value)) {
+            plan.environmentLabels(splitCsv(value));
+        } else if (consumeFlag(arg, "--profiles", &value)) {
+            std::vector<app::ProfileVariant> variants;
+            for (const auto &name : splitCsv(value)) {
+                app::ProfileVariant variant;
+                if (!app::profileFromName(name, &variant))
+                    fatal("unknown profile '", name,
+                          "' (standard | no-lea | no-dma)");
+                variants.push_back(variant);
+            }
+            plan.profiles(std::move(variants));
+        } else if (consumeFlag(arg, "--samples", &value)) {
+            u32 samples = 0;
+            if (!cli::numberFlag("--samples", value, u32{1},
+                                 kMaxSamples, &samples))
+                return 2;
+            plan.samples(samples);
+        } else if (consumeFlag(arg, "--seed", &value)) {
+            u64 seed = 0;
+            if (!cli::numberFlag("--seed", value, u64{0}, kU64Max,
+                                 &seed))
+                return 2;
+            plan.baseSeed(seed);
+        } else if (consumeFlag(arg, "--threads", &value)) {
+            if (!cli::numberFlag("--threads", value, u32{0},
+                                 cli::kMaxThreads,
+                                 &engine_options.threads))
+                return 2;
+        } else if (arg == "--progress") {
+            engine_options.progress = true;
+        } else if (arg == "--digests") {
+            plan.captureNvmDigests(true);
+        } else if (consumeFlag(arg, "--csv", &value)) {
+            csv_path = value;
+        } else if (consumeFlag(arg, "--json", &value)) {
+            json_path = value;
+        } else if (consumeFlag(arg, "--sonicz", &value)) {
+            sonicz_path = value;
+        } else {
+            return usage();
         }
-    } catch (const std::exception &) { // bad numeric flag value
-        return usage();
     }
 
     std::vector<app::ResultSink *> sinks;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <sstream>
 #include <utility>
 
@@ -88,31 +89,61 @@ parseEnvRef(const std::string &text, EnvRef *out, std::string *error)
 
 // --- HarvestModel ---------------------------------------------------
 
-HarvestModel::HarvestModel(std::vector<Point> points, f64 period_seconds)
-    : points_(std::move(points)), period_(period_seconds)
+HarvestModel::HarvestModel()
 {
-    SONIC_ASSERT(!points_.empty(), "harvest model needs control points");
+    buildTable({{0.0, 0.0}});
+}
+
+HarvestModel::HarvestModel(std::vector<Point> points, f64 period_seconds)
+    : period_(period_seconds)
+{
+    SONIC_ASSERT(!points.empty(), "harvest model needs control points");
     SONIC_ASSERT(period_ > 0.0, "harvest model period must be positive");
-    SONIC_ASSERT(points_.front().seconds == 0.0,
+    SONIC_ASSERT(points.front().seconds == 0.0,
                  "harvest model must start at t = 0");
-    for (u64 i = 0; i < points_.size(); ++i) {
-        SONIC_ASSERT(points_[i].watts >= 0.0,
+    for (u64 i = 0; i < points.size(); ++i) {
+        SONIC_ASSERT(points[i].watts >= 0.0,
                      "harvest power cannot be negative");
-        SONIC_ASSERT(points_[i].seconds < period_,
+        SONIC_ASSERT(points[i].seconds < period_,
                      "harvest control point beyond the period");
         if (i > 0)
-            SONIC_ASSERT(points_[i].seconds > points_[i - 1].seconds,
+            SONIC_ASSERT(points[i].seconds > points[i - 1].seconds,
                          "harvest control points must be increasing");
     }
-    periodJoules_ = 0.0;
-    for (u64 i = 0; i < points_.size(); ++i) {
-        const f64 dt = segmentEnd(i) - points_[i].seconds;
-        periodJoules_ +=
-            0.5 * (points_[i].watts + segmentEndWatts(i)) * dt;
-    }
+    buildTable(std::move(points));
     SONIC_ASSERT(periodJoules_ > 0.0,
                  "harvest model must deliver positive energy per "
                  "period — an always-dead environment cannot recharge");
+}
+
+void
+HarvestModel::buildTable(std::vector<Point> points)
+{
+    auto table = std::make_shared<Table>();
+    table->points = std::move(points);
+    const auto &pts = table->points;
+    const u64 n = pts.size();
+    table->segments.resize(n);
+    periodJoules_ = 0.0;
+    for (u64 i = 0; i < n; ++i) {
+        // The final segment wraps to the first point's rate at
+        // t = period.
+        Segment &s = table->segments[i];
+        const f64 w1 = i + 1 < n ? pts[i + 1].watts : pts[0].watts;
+        s.t0 = pts[i].seconds;
+        s.t1 = i + 1 < n ? pts[i + 1].seconds : period_;
+        s.w0 = pts[i].watts;
+        s.dw = w1 - s.w0;
+        s.dt = s.t1 - s.t0;
+        periodJoules_ += 0.5 * (s.w0 + w1) * s.dt;
+    }
+    segments_ = table->segments.data();
+    segmentCount_ = static_cast<u32>(n);
+    // Each segment's end rate goes through the same lookup a step
+    // landing exactly on t1 takes, so the cached value is that read.
+    for (u64 i = 0; i < n; ++i)
+        table->segments[i].wEnd = watts(table->segments[i].t1);
+    table_ = std::move(table);
 }
 
 HarvestModel
@@ -122,37 +153,28 @@ HarvestModel::constant(f64 watts)
     return HarvestModel({{0.0, watts}}, 1.0);
 }
 
-f64
-HarvestModel::segmentEnd(u64 i) const
+u32
+HarvestModel::segmentAt(f64 local, u32 hint) const
 {
-    return i + 1 < points_.size() ? points_[i + 1].seconds : period_;
-}
-
-f64
-HarvestModel::segmentEndWatts(u64 i) const
-{
-    // The final segment wraps to the first point's rate at t = period.
-    return i + 1 < points_.size() ? points_[i + 1].watts
-                                  : points_.front().watts;
+    const auto brackets = [&](u32 i) {
+        return segments_[i].t0 <= local && local < segments_[i].t1;
+    };
+    if (hint < segmentCount_ && brackets(hint))
+        return hint;
+    const u32 next = hint + 1 < segmentCount_ ? hint + 1 : 0;
+    if (brackets(next))
+        return next;
+    u32 i = segmentCount_ - 1;
+    while (i > 0 && segments_[i].t0 > local)
+        --i;
+    return i;
 }
 
 f64
 HarvestModel::watts(f64 t) const
 {
-    f64 local = std::fmod(t, period_);
-    if (local < 0.0)
-        local += period_;
-    // Last control point at or before `local`.
-    u64 i = points_.size() - 1;
-    while (i > 0 && points_[i].seconds > local)
-        --i;
-    const f64 t0 = points_[i].seconds;
-    const f64 t1 = segmentEnd(i);
-    const f64 w0 = points_[i].watts;
-    const f64 w1 = segmentEndWatts(i);
-    if (t1 <= t0)
-        return w0;
-    return w0 + (w1 - w0) * ((local - t0) / (t1 - t0));
+    const f64 local = localTime(t);
+    return rateIn(segments_[segmentAt(local, 0)], local);
 }
 
 f64
@@ -163,27 +185,27 @@ HarvestModel::energyJoules(f64 t0, f64 dt) const
     // segment with trapezoids (the rate is linear inside a segment).
     f64 joules = std::floor(dt / period_) * periodJoules_;
     f64 t = t0;
-    f64 left = std::fmod(dt, period_);
+    f64 left = wrap(dt);
+    u32 i = 0;
     while (left > 0.0) {
-        f64 local = std::fmod(t, period_);
-        if (local < 0.0)
-            local += period_;
-        u64 i = points_.size() - 1;
-        while (i > 0 && points_[i].seconds > local)
-            --i;
-        const f64 seg_end = segmentEnd(i);
-        const f64 step = std::min(left, seg_end - local);
+        const f64 local = localTime(t);
+        i = segmentAt(local, i);
+        const f64 step = std::min(left, segments_[i].t1 - local);
         if (step <= 0.0)
             break; // numeric guard at a segment boundary
         joules += 0.5 * (watts(t) + watts(t + step)) * step;
-        t += step;
+        // A step below the clock's ulp cannot move t, and the walk
+        // would repeat it indefinitely: move t to the next double.
+        t = t + step != t ? t + step
+                          : std::nextafter(
+                                t, std::numeric_limits<f64>::infinity());
         left -= step;
     }
     return joules;
 }
 
 f64
-HarvestModel::secondsToHarvest(f64 t0, f64 joules) const
+HarvestModel::secondsToHarvest(f64 t0, f64 joules, u32 *cursor) const
 {
     if (joules <= 0.0)
         return 0.0;
@@ -197,26 +219,43 @@ HarvestModel::secondsToHarvest(f64 t0, f64 joules) const
             return seconds;
     }
     f64 t = t0 + seconds;
+    // Each step's start state (local time, segment, rate) is the
+    // previous step's end state whenever the walk moved: both are the
+    // lookup of the same t, so they are carried, not recomputed.
+    f64 local = localTime(t);
+    u32 i = segmentAt(local, cursor != nullptr ? *cursor : 0);
+    f64 w0 = rateIn(segments_[i], local);
     // At most two extra periods of segments cover the remainder (the
     // guard protects against pathological rounding at boundaries).
-    const u64 max_steps = 2 * (points_.size() + 1) + 4;
+    const u64 max_steps = 2 * (u64{segmentCount_} + 1) + 4;
     for (u64 step = 0; step < max_steps; ++step) {
-        f64 local = std::fmod(t, period_);
-        if (local < 0.0)
-            local += period_;
-        u64 i = points_.size() - 1;
-        while (i > 0 && points_[i].seconds > local)
-            --i;
-        const f64 seg_end = segmentEnd(i);
-        f64 span = seg_end - local;
+        const Segment &seg = segments_[i];
+        f64 span = seg.t1 - local;
         if (span <= 0.0)
             span = 0.0;
-        const f64 w0 = watts(t);
-        const f64 w1 = watts(t + span);
+        // The rate at the step's end. A step that lands exactly on
+        // the segment end reads the rate cached for that input; at
+        // the period the wrapped time is +0 in segment 0.
+        const f64 t_end = t + span;
+        f64 local_end = 0.0;
+        u32 i_end = 0;
+        f64 w1 = seg.wEnd;
+        if (t_end == seg.t1) {
+            if (i + 1 < segmentCount_) {
+                local_end = seg.t1;
+                i_end = i + 1;
+            }
+        } else {
+            local_end = localTime(t_end);
+            i_end = segmentAt(local_end, i + 1);
+            w1 = rateIn(segments_[i_end], local_end);
+        }
         const f64 seg_joules = 0.5 * (w0 + w1) * span;
         if (seg_joules >= joules && seg_joules > 0.0) {
-            // Solve p0*τ + m*τ²/2 = joules inside this segment.
-            const f64 m = span > 0.0 ? (w1 - w0) / span : 0.0;
+            // Solve p0*τ + m*τ²/2 = joules inside this segment. Equal
+            // end rates make the slope's numerator +0 exactly.
+            const f64 m = w1 != w0 && span > 0.0 ? (w1 - w0) / span
+                                                   : 0.0;
             f64 tau;
             if (std::fabs(m) < 1e-18) {
                 tau = joules / w0;
@@ -225,18 +264,29 @@ HarvestModel::secondsToHarvest(f64 t0, f64 joules) const
                 tau = (std::sqrt(std::max(disc, 0.0)) - w0) / m;
             }
             tau = std::clamp(tau, 0.0, span);
+            if (cursor != nullptr)
+                *cursor = i;
             return seconds + tau;
         }
         joules -= seg_joules;
         seconds += span;
-        t += span;
-        // Step over zero-width remainders at period boundaries.
+        t = t_end;
         if (span == 0.0) {
+            // Step over zero-width remainders at period boundaries.
             const f64 nudge = period_ * 1e-12;
             seconds += nudge;
             t += nudge;
+            local = localTime(t);
+            i = segmentAt(local, i);
+            w0 = rateIn(segments_[i], local);
+        } else {
+            local = local_end;
+            i = i_end;
+            w0 = w1;
         }
     }
+    if (cursor != nullptr)
+        *cursor = i;
     // Rounding starved the walk: fall back to the mean rate.
     return seconds + joules / (periodJoules_ / period_);
 }
@@ -281,8 +331,8 @@ f64
 HarvestSupply::recharge()
 {
     const f64 deficit_nj = capacityNj_ - levelNj_;
-    const f64 dead =
-        model_.secondsToHarvest(simSeconds_, deficit_nj * 1e-9);
+    const f64 dead = model_.secondsToHarvest(
+        simSeconds_, deficit_nj * 1e-9, &cursor_);
     simSeconds_ += dead;
     wrapClock();
     harvestedNj_ += deficit_nj;
@@ -297,6 +347,7 @@ HarvestSupply::reset()
     harvestedNj_ = capacityNj_;
     simSeconds_ = phaseSeconds_;
     draws_ = 0;
+    cursor_ = 0;
     failureIndices_.clear();
 }
 
@@ -511,22 +562,22 @@ EnvRegistry::rowFor(std::string_view name) const
 std::unique_ptr<arch::PowerSupply>
 EnvRegistry::make(const EnvRef &ref, u64 seed) const
 {
-    EnvBuilder build;
-    EnvInstance inst;
-    inst.seed = seed;
+    // Rows are heap-pinned and never removed or modified once added,
+    // so the builder runs outside the lock without being copied.
+    const Row *row = nullptr;
     {
         std::lock_guard<std::mutex> lock(mutex_);
-        if (const Row *row = rowFor(ref.env)) {
-            inst.capacitanceFarads = ref.capacitanceFarads > 0.0
-                ? ref.capacitanceFarads
-                : row->meta.defaultCapacitanceFarads;
-            build = row->build;
-        }
+        row = rowFor(ref.env);
     }
-    if (!build)
+    if (row == nullptr)
         fatal("unknown environment '", ref.env,
               "'; registered environments: ", availableList());
-    return build(inst);
+    EnvInstance inst;
+    inst.seed = seed;
+    inst.capacitanceFarads = ref.capacitanceFarads > 0.0
+        ? ref.capacitanceFarads
+        : row->meta.defaultCapacitanceFarads;
+    return row->build(inst);
 }
 
 } // namespace sonic::env

@@ -86,6 +86,11 @@ bool parseEnvRef(const std::string &text, EnvRef *out,
  * is the integrable core every harvesting environment shares — the
  * capacitor charge equation integrates it forward to find recharge
  * dead time.
+ *
+ * The per-segment table (bounds, rates, slope numerator, width and the
+ * rate read exactly at each segment end) is built once per model and
+ * shared immutably, so copying a model — one per fleet device — is a
+ * reference-count bump, not an allocation.
  */
 class HarvestModel
 {
@@ -97,7 +102,14 @@ class HarvestModel
         f64 watts = 0.0;
     };
 
-    HarvestModel() = default;
+    /** A zero-rate model over a 1 s period (a placeholder to assign
+     * a parsed trace into; it cannot recharge anything). */
+    HarvestModel();
+
+    // Copy-only (a move copies too): the hot segment pointer aliases
+    // the shared table, which a moved-from model must keep owning.
+    HarvestModel(const HarvestModel &) = default;
+    HarvestModel &operator=(const HarvestModel &) = default;
 
     /**
      * Build from control points over [0, period). Points must start at
@@ -122,20 +134,88 @@ class HarvestModel
     /**
      * Time needed from t0 to harvest `joules` (the recharge
      * integral's inverse). Exact within each linear segment.
+     *
+     * `cursor`, when given, is a segment-index hint carried between
+     * calls (HarvestSupply keeps one: its clock only moves forward,
+     * modulo the period). A hint is always checked against the
+     * segment bounds before use, so the result does not depend on
+     * it; it only spares the backward scan over the control points.
      */
-    f64 secondsToHarvest(f64 t0, f64 joules) const;
+    f64 secondsToHarvest(f64 t0, f64 joules,
+                         u32 *cursor = nullptr) const;
+
+    /**
+     * std::fmod(t, periodSeconds()), bit for bit. In-range inputs
+     * come back unchanged and [period, 2 period) subtracts one period
+     * (exact by Sterbenz' lemma, as fmod is exact); only the rest
+     * pays for the library call.
+     */
+    f64
+    wrap(f64 t) const
+    {
+        if (t >= 0.0 && t < period_)
+            return t;
+        if (t >= period_ && t < 2.0 * period_)
+            return t - period_;
+        return std::fmod(t, period_);
+    }
 
     f64 periodSeconds() const { return period_; }
     f64 energyJoulesPerPeriod() const { return periodJoules_; }
-    const std::vector<Point> &points() const { return points_; }
+    const std::vector<Point> &points() const { return table_->points; }
 
   private:
-    /** Segment rate/integral helpers (index i spans point i → i+1,
-     * the last segment wrapping to points_[0] at period_). */
-    f64 segmentEnd(u64 i) const;
-    f64 segmentEndWatts(u64 i) const;
+    /** One linear segment: point i to point i + 1, the last one
+     * wrapping to points[0]'s rate at t = period. */
+    struct Segment
+    {
+        f64 t0 = 0.0;   ///< start offset (points[i].seconds)
+        f64 t1 = 0.0;   ///< end offset (next point, or the period)
+        f64 w0 = 0.0;   ///< rate at t0
+        f64 dw = 0.0;   ///< end rate minus w0 (0 on a flat segment)
+        f64 dt = 0.0;   ///< t1 - t0
+        f64 wEnd = 0.0; ///< watts(t1): the rate a step landing on t1 reads
+    };
 
-    std::vector<Point> points_{{0.0, 0.0}};
+    struct Table
+    {
+        std::vector<Point> points;
+        std::vector<Segment> segments;
+    };
+
+    void buildTable(std::vector<Point> points);
+
+    /** t reduced into [0, period) the way the rate lookup sees it. */
+    f64
+    localTime(f64 t) const
+    {
+        f64 local = wrap(t);
+        if (local < 0.0)
+            local += period_;
+        return local;
+    }
+
+    /** Index of the last control point at or before `local`: the hint
+     * and its successor are tried first, then a backward scan. */
+    u32 segmentAt(f64 local, u32 hint) const;
+
+    /** The interpolated rate at `local` inside segment s. */
+    static f64
+    rateIn(const Segment &s, f64 local)
+    {
+        // On a flat segment the product is a signed zero whose sign
+        // is that of (local - t0), which is the quotient's sign, so
+        // the division can be skipped. Below t0 the quotient could
+        // overflow to infinity (0 * inf is NaN), so that case divides.
+        if (s.dw == 0.0 && local >= s.t0)
+            return s.w0 + s.dw * (local - s.t0);
+        return s.w0 + s.dw * ((local - s.t0) / s.dt);
+    }
+
+    std::shared_ptr<const Table> table_;
+    /** table_->segments, for the hot lookups. */
+    const Segment *segments_ = nullptr;
+    u32 segmentCount_ = 0;
     f64 period_ = 1.0;
     f64 periodJoules_ = 0.0;
 };
@@ -153,8 +233,12 @@ class HarvestModel
  * Optionally records the draw-call coordinate of every brown-out
  * (`recordFailures`), which is how the verification oracle converts a
  * realistic environment into an explicit failure-index schedule.
+ *
+ * Final: the fleet round cache replays its exact semantics (see
+ * setLevelNjForReplay), and calls through a HarvestSupply reference
+ * bind statically.
  */
-class HarvestSupply : public arch::PowerSupply
+class HarvestSupply final : public arch::PowerSupply
 {
   public:
     HarvestSupply(std::string label, HarvestModel model,
@@ -185,7 +269,8 @@ class HarvestSupply : public arch::PowerSupply
     /**
      * Advance the environment clock by device uptime. The clock wraps
      * into [0, period): the harvest model is periodic (watts() and
-     * secondsToHarvest() fmod internally, so wrapping is exactly
+     * secondsToHarvest() reduce their argument by the period with
+     * HarvestModel::wrap(), so wrapping here first is exactly
      * behavior-preserving), and an unwrapped accumulator loses f64
      * precision once uptime dwarfs the period — at extreme uptimes
      * small increments would be absorbed entirely and the phase would
@@ -246,9 +331,8 @@ class HarvestSupply : public arch::PowerSupply
     void
     wrapClock()
     {
-        const f64 period = model_.periodSeconds();
-        if (period > 0.0 && simSeconds_ >= period)
-            simSeconds_ = std::fmod(simSeconds_, period);
+        if (simSeconds_ >= model_.periodSeconds())
+            simSeconds_ = model_.wrap(simSeconds_);
     }
 
     std::string label_;
@@ -260,6 +344,8 @@ class HarvestSupply : public arch::PowerSupply
     f64 harvestedNj_;
     f64 simSeconds_;
     u64 draws_ = 0;
+    /** Segment hint for recharge()'s harvest inversion. */
+    u32 cursor_ = 0;
     bool recordFailures_ = false;
     std::vector<u64> failureIndices_;
 };

@@ -105,47 +105,64 @@ FleetPlan::validate() const
               "a different scenario?)");
 }
 
-DeviceAssignment
-FleetPlan::assignmentFor(u32 device_index) const
+DeviceDeal
+FleetPlan::dealFor(u32 device_index) const
 {
-    // A pure function of (baseSeed, deviceIndex) and the distribution
-    // lists: device 17 is the same deployment no matter how many
-    // threads race over the fleet or which worker picks it up.
+    // A pure function of (baseSeed, deviceIndex) and the list sizes:
+    // device 17 is the same deployment no matter how many threads race
+    // over the fleet or which worker picks it up.
     const u64 h = mix64(mix64(baseSeed) ^ (0xf1ee7u + device_index));
-    DeviceAssignment a;
-    a.deviceIndex = device_index;
-    a.netIndex = static_cast<u32>(mix64(h ^ 1) % nets.size());
-    a.net = nets[a.netIndex];
-    a.implIndex = static_cast<u32>(mix64(h ^ 2) % impls.size());
-    a.impl = impls[a.implIndex];
-    a.envIndex = static_cast<u32>(mix64(h ^ 3) % environments.size());
-    a.environment = environments[a.envIndex];
-    a.seed = mix64(h ^ 4);
+    DeviceDeal d;
+    d.netIndex = static_cast<u32>(mix64(h ^ 1) % nets.size());
+    d.implIndex = static_cast<u32>(mix64(h ^ 2) % impls.size());
+    d.envIndex = static_cast<u32>(mix64(h ^ 3) % environments.size());
+    d.seed = mix64(h ^ 4);
     // h^5 keeps the net/impl/env/seed deals of pre-pipeline plans
     // byte-identical: a single-pipeline plan is the same fleet as
     // before, just with a named execution loop.
-    a.pipelineIndex = static_cast<u32>(mix64(h ^ 5) % pipelines.size());
-    a.pipeline = pipelines[a.pipelineIndex];
+    d.pipelineIndex = static_cast<u32>(mix64(h ^ 5) % pipelines.size());
+    return d;
+}
 
+u32
+FleetPlan::plannedImplIndex(u32 env_index, u32 net_index,
+                            u32 pipeline_index) const
+{
+    const auto it = implByCoordinate.find(
+        coordinateKey(environments[env_index].label(), nets[net_index],
+                      pipelines[pipeline_index]));
+    SONIC_ASSERT(it != implByCoordinate.end(),
+                 "planned assignment misses a coordinate "
+                 "(validate() was skipped?)");
+    const auto impl_pos = std::find(impls.begin(), impls.end(), it->second);
+    SONIC_ASSERT(impl_pos != impls.end(),
+                 "planned kernel outside the impl distribution");
+    return static_cast<u32>(impl_pos - impls.begin());
+}
+
+DeviceAssignment
+FleetPlan::assignmentFor(u32 device_index) const
+{
+    const DeviceDeal d = dealFor(device_index);
+    DeviceAssignment a;
+    a.deviceIndex = device_index;
+    a.netIndex = d.netIndex;
+    a.implIndex = d.implIndex;
+    a.envIndex = d.envIndex;
+    a.pipelineIndex = d.pipelineIndex;
+    a.seed = d.seed;
     // A planned assignment overrides ONLY the kernel deal: the impl
     // lane (h^2) is independent of the env/net/pipeline/seed lanes, so
     // the devices landing on each coordinate — and their seeds — are
     // identical to the hash-dealt fleet's. That is the separability
     // the planner's beats-every-baseline guarantee rests on.
-    if (!implByCoordinate.empty()) {
-        const auto it = implByCoordinate.find(coordinateKey(
-            a.environment.label(), a.net, a.pipeline));
-        SONIC_ASSERT(it != implByCoordinate.end(),
-                     "planned assignment misses a coordinate "
-                     "(validate() was skipped?)");
-        const auto impl_pos =
-            std::find(impls.begin(), impls.end(), it->second);
-        SONIC_ASSERT(impl_pos != impls.end(),
-                     "planned kernel outside the impl distribution");
+    if (!implByCoordinate.empty())
         a.implIndex =
-            static_cast<u32>(impl_pos - impls.begin());
-        a.impl = *impl_pos;
-    }
+            plannedImplIndex(a.envIndex, a.netIndex, a.pipelineIndex);
+    a.net = nets[a.netIndex];
+    a.impl = impls[a.implIndex];
+    a.environment = environments[a.envIndex];
+    a.pipeline = pipelines[a.pipelineIndex];
     return a;
 }
 
@@ -257,7 +274,8 @@ simulateDeviceImpl(const FleetPlan &plan, u32 device_index,
     // Memoization eligibility. Sharing across devices is sound only
     // when the round outcome cannot see the seed (ackInvariant) and
     // the supply's semantics are the exact ones the replay reproduces
-    // — hence the typeid checks, which exclude user-registered
+    // — hence the exact-type checks: HarvestSupply is final, and the
+    // typeid check excludes user-registered ContinuousPower
     // subclasses with unknown behavior.
     const bool ack_invariant = pipeline::ackInvariant(spec);
     auto *harvest = dynamic_cast<env::HarvestSupply *>(supply.get());
@@ -268,7 +286,6 @@ simulateDeviceImpl(const FleetPlan &plan, u32 device_index,
     const bool round_cacheable = ctx.recorder == nullptr
         && ctx.roundCache != nullptr
         && harvest != nullptr
-        && typeid(*supply) == typeid(env::HarvestSupply)
         && ack_invariant;
 
     // Always-on supplies never reboot and never consult a clock: the
@@ -513,6 +530,28 @@ FleetColumns::store(u64 i, const DeviceTelemetry &t)
     deliverySecondsSum[i] = t.deliverySecondsSum;
 }
 
+TelemetryRow
+FleetColumns::row(u64 i) const
+{
+    return {
+        .dnf = (status[i] & 1u) != 0,
+        .failed = (status[i] & 2u) != 0,
+        .inferences = inferencesCompleted[i],
+        .reboots = reboots[i],
+        .liveSeconds = liveSeconds[i],
+        .deadSeconds = deadSeconds[i],
+        .energyJ = energyJ[i],
+        .harvestedJ = harvestedJ[i],
+        .resultsDelivered = resultsDelivered[i],
+        .txGaveUpRounds = txGaveUpRounds[i],
+        .txAttempts = txAttempts[i],
+        .txRetries = txRetries[i],
+        .radioEnergyJ = radioEnergyJ[i],
+        .senseEnergyJ = senseEnergyJ[i],
+        .txBackoffSeconds = txBackoffSeconds[i],
+    };
+}
+
 DeviceTelemetry
 FleetColumns::materialize(const FleetPlan &plan, u64 i) const
 {
@@ -645,28 +684,6 @@ FleetJsonSink::end()
 }
 
 // --- Aggregation ----------------------------------------------------
-
-void
-GroupStats::accumulate(const DeviceTelemetry &t)
-{
-    accumulateRow({
-        .dnf = t.diedNonTerminating,
-        .failed = t.failedIncomplete,
-        .inferences = t.inferencesCompleted,
-        .reboots = t.reboots,
-        .liveSeconds = t.liveSeconds,
-        .deadSeconds = t.deadSeconds,
-        .energyJ = t.energyJ,
-        .harvestedJ = t.harvestedJ,
-        .resultsDelivered = t.resultsDelivered,
-        .txGaveUpRounds = t.txGaveUpRounds,
-        .txAttempts = t.txAttempts,
-        .txRetries = t.txRetries,
-        .radioEnergyJ = t.radioEnergyJ,
-        .senseEnergyJ = t.senseEnergyJ,
-        .txBackoffSeconds = t.txBackoffSeconds,
-    });
-}
 
 void
 GroupStats::accumulateRow(const TelemetryRow &row)
@@ -921,21 +938,57 @@ runFleet(const FleetPlan &plan, FleetOptions options,
 
     // Sequential columnar reduction in device-index order: the summary
     // is a pure function of the per-device telemetry, so it is
-    // bit-identical for every thread count.
+    // bit-identical for every thread count. Devices are re-dealt (no
+    // strings) and routed through one group slot per list position; a
+    // slot joins its breakdown map on first use, so groups no device
+    // lands in stay absent, and two positions with the same label
+    // share one group.
     FleetSummary summary;
     summary.devices = plan.devices;
     summary.horizonSeconds = plan.horizonSeconds;
     summary.baseSeed = plan.baseSeed;
+    const u64 n_nets = plan.nets.size();
+    const u64 n_pipes = plan.pipelines.size();
+    std::vector<u32> planned_impl;
+    if (!plan.implByCoordinate.empty()) {
+        planned_impl.resize(plan.environments.size() * n_nets * n_pipes);
+        for (u32 e = 0; e < plan.environments.size(); ++e)
+            for (u32 n = 0; n < n_nets; ++n)
+                for (u32 p = 0; p < n_pipes; ++p)
+                    planned_impl[(e * n_nets + n) * n_pipes + p] =
+                        plan.plannedImplIndex(e, n, p);
+    }
+    std::vector<GroupStats *> env_slots(plan.environments.size());
+    std::vector<GroupStats *> impl_slots(plan.impls.size());
+    std::vector<GroupStats *> net_slots(n_nets);
+    std::vector<GroupStats *> pipe_slots(n_pipes);
+    const auto group = [](std::vector<GroupStats *> &slots, u32 index,
+                          std::map<std::string, GroupStats> &groups,
+                          const auto &name) -> GroupStats & {
+        if (slots[index] == nullptr)
+            slots[index] = &groups[name()];
+        return *slots[index];
+    };
     for (u64 i = 0; i < total; ++i) {
-        const DeviceTelemetry t = columns.materialize(plan, i);
-        summary.total.accumulate(t);
-        summary.byEnvironment[t.assignment.environment.label()]
-            .accumulate(t);
-        summary.byImpl[std::string(
-                           kernels::implName(t.assignment.impl))]
-            .accumulate(t);
-        summary.byNet[t.assignment.net].accumulate(t);
-        summary.byPipeline[t.assignment.pipeline].accumulate(t);
+        const DeviceDeal d = plan.dealFor(static_cast<u32>(i));
+        const u32 impl = planned_impl.empty()
+            ? d.implIndex
+            : planned_impl[(d.envIndex * n_nets + d.netIndex) * n_pipes
+                           + d.pipelineIndex];
+        const TelemetryRow row = columns.row(i);
+        summary.total.accumulateRow(row);
+        group(env_slots, d.envIndex, summary.byEnvironment, [&] {
+            return plan.environments[d.envIndex].label();
+        }).accumulateRow(row);
+        group(impl_slots, impl, summary.byImpl, [&] {
+            return std::string(kernels::implName(plan.impls[impl]));
+        }).accumulateRow(row);
+        group(net_slots, d.netIndex, summary.byNet, [&] {
+            return plan.nets[d.netIndex];
+        }).accumulateRow(row);
+        group(pipe_slots, d.pipelineIndex, summary.byPipeline, [&] {
+            return plan.pipelines[d.pipelineIndex];
+        }).accumulateRow(row);
     }
 
     std::vector<f64> latencies;

@@ -69,6 +69,20 @@ struct DeviceAssignment
     /// @}
 };
 
+/**
+ * The index-only part of a device's assignment: its positions in the
+ * plan's distribution lists and its seed, as the hash deal draws them
+ * (before a planned kernel assignment overrides implIndex).
+ */
+struct DeviceDeal
+{
+    u32 netIndex = 0;
+    u32 implIndex = 0;
+    u32 envIndex = 0;
+    u32 pipelineIndex = 0;
+    u64 seed = 0;
+};
+
 /** Declarative fleet description. */
 struct FleetPlan
 {
@@ -145,6 +159,18 @@ struct FleetPlan
      * of thread count and of which worker runs the device.
      */
     DeviceAssignment assignmentFor(u32 device_index) const;
+
+    /**
+     * The hash deal behind assignmentFor(): list positions and seed
+     * only, no strings built — cheap enough for the summary reduction
+     * to re-deal every device instead of storing its coordinates.
+     */
+    DeviceDeal dealFor(u32 device_index) const;
+
+    /** The impls index implByCoordinate assigns to one coordinate
+     * (only meaningful when implByCoordinate is non-empty). */
+    u32 plannedImplIndex(u32 env_index, u32 net_index,
+                         u32 pipeline_index) const;
 };
 
 /** Everything measured over one device lifetime. */
@@ -257,6 +283,32 @@ struct DeviceTelemetry
 };
 
 /**
+ * The scalar fields one telemetry row contributes to an aggregation
+ * bucket — the single field-mapping point shared by runFleet's
+ * reduction (FleetColumns::row) and the columnar .sonicz fold
+ * (telemetry::aggregate), so the two cannot drift apart
+ * field-by-field.
+ */
+struct TelemetryRow
+{
+    bool dnf = false;
+    bool failed = false;
+    u32 inferences = 0;
+    u64 reboots = 0;
+    f64 liveSeconds = 0.0;
+    f64 deadSeconds = 0.0;
+    f64 energyJ = 0.0;
+    f64 harvestedJ = 0.0;
+    u32 resultsDelivered = 0;
+    u32 txGaveUpRounds = 0;
+    u64 txAttempts = 0;
+    u64 txRetries = 0;
+    f64 radioEnergyJ = 0.0;
+    f64 senseEnergyJ = 0.0;
+    f64 txBackoffSeconds = 0.0;
+};
+
+/**
  * Struct-of-arrays per-device telemetry: one column per scalar field,
  * indexed by device. The worker pool writes each completing device's
  * row at its own index (disjoint writes, no sharing), so a fleet of a
@@ -278,6 +330,9 @@ class FleetColumns
 
     /** Rebuild the row view of device i. */
     DeviceTelemetry materialize(const FleetPlan &plan, u64 i) const;
+
+    /** Device i's aggregation fields (what GroupStats folds). */
+    TelemetryRow row(u64 i) const;
 
     /** @name Columns (public: the reduction reads them directly). */
     /// @{
@@ -346,32 +401,6 @@ class FleetJsonSink : public FleetSink
     bool first_ = true;
 };
 
-/**
- * The scalar fields one telemetry row contributes to an aggregation
- * bucket — the single field-mapping point shared by
- * GroupStats::accumulate() (row objects from runFleet) and the
- * columnar .sonicz fold (telemetry::aggregate), so the two cannot
- * drift apart field-by-field.
- */
-struct TelemetryRow
-{
-    bool dnf = false;
-    bool failed = false;
-    u32 inferences = 0;
-    u64 reboots = 0;
-    f64 liveSeconds = 0.0;
-    f64 deadSeconds = 0.0;
-    f64 energyJ = 0.0;
-    f64 harvestedJ = 0.0;
-    u32 resultsDelivered = 0;
-    u32 txGaveUpRounds = 0;
-    u64 txAttempts = 0;
-    u64 txRetries = 0;
-    f64 radioEnergyJ = 0.0;
-    f64 senseEnergyJ = 0.0;
-    f64 txBackoffSeconds = 0.0;
-};
-
 /** One aggregation bucket (the whole fleet, or a breakdown group). */
 struct GroupStats
 {
@@ -393,7 +422,6 @@ struct GroupStats
     f64 senseEnergyJ = 0.0;
     f64 txBackoffSeconds = 0.0;
 
-    void accumulate(const DeviceTelemetry &device);
     void accumulateRow(const TelemetryRow &row);
 
     f64

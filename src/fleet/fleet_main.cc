@@ -53,13 +53,9 @@ using cli::splitCsv;
 constexpr u32 kU32Max = std::numeric_limits<u32>::max();
 constexpr u64 kU64Max = std::numeric_limits<u64>::max();
 
-/** --horizon bounds: a millisecond to about 31.7 years. */
-constexpr f64 kMinHorizonS = 1e-3;
-constexpr f64 kMaxHorizonS = 1e9;
-
-/** --threads cap (0 = hardware concurrency): every worker is an OS
- * thread, and so is every .sonicz block encoder. */
-constexpr u32 kMaxThreads = 1024;
+/** --threads cap: every worker is an OS thread, and so is every
+ * .sonicz block encoder. */
+using cli::kMaxThreads;
 
 /** The worker count runFleet resolves 0 to. */
 u32
@@ -117,14 +113,7 @@ main(int argc, char **argv)
     // *out; on a bad value print why and fail (the caller exits 2).
     const auto number = [&value](const char *flag, auto lo, auto hi,
                                  auto *out) {
-        std::string error;
-        const auto parsed = cli::parseNumber(flag, value, lo, hi, &error);
-        if (!parsed) {
-            std::cerr << error << "\n";
-            return false;
-        }
-        *out = *parsed;
-        return true;
+        return cli::numberFlag(flag, value, lo, hi, out);
     };
     for (const auto &arg : args) {
         if (consumeFlag(arg, "--trace", &value)) {
@@ -234,7 +223,8 @@ main(int argc, char **argv)
         } else if (consumeFlag(arg, "--pipelines", &value)) {
             plan.pipelines = splitCsv(value);
         } else if (consumeFlag(arg, "--horizon", &value)) {
-            if (!number("--horizon", kMinHorizonS, kMaxHorizonS,
+            if (!number("--horizon", cli::kMinHorizonSeconds,
+                        cli::kMaxHorizonSeconds,
                         &plan.horizonSeconds))
                 return 2;
         } else if (consumeFlag(arg, "--max-inferences", &value)) {

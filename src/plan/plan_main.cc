@@ -28,6 +28,7 @@
 
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -43,6 +44,9 @@ namespace
 using namespace sonic;
 using cli::consumeFlag;
 using cli::splitCsv;
+
+constexpr u32 kU32Max = std::numeric_limits<u32>::max();
+constexpr u64 kU64Max = std::numeric_limits<u64>::max();
 
 int
 usage()
@@ -108,111 +112,124 @@ main(int argc, char **argv)
     // Two passes, like sonic_fleet: --scenario must resolve before
     // axis overrides apply, whatever the flag order was.
     std::vector<std::string> args(argv + 1, argv + argc);
-    try {
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--scenario", &value)) {
-                bool found = false;
-                for (const auto &scenario :
-                     fleet::namedScenarios()) {
-                    if (scenario.name == value) {
-                        fleet_plan = scenario.plan;
-                        scenario_name = value;
-                        found = true;
-                    }
-                }
-                if (!found) {
-                    std::cerr << "unknown scenario '" << value
-                              << "' (--list-scenarios)\n";
-                    return 2;
+    // Parse the current flag's value as a number in [lo, hi] into
+    // *out; on a bad value print why and fail (the caller exits 2).
+    const auto number = [&value](const char *flag, auto lo, auto hi,
+                                 auto *out) {
+        return cli::numberFlag(flag, value, lo, hi, out);
+    };
+    for (const auto &arg : args) {
+        if (consumeFlag(arg, "--scenario", &value)) {
+            bool found = false;
+            for (const auto &scenario :
+                 fleet::namedScenarios()) {
+                if (scenario.name == value) {
+                    fleet_plan = scenario.plan;
+                    scenario_name = value;
+                    found = true;
                 }
             }
+            if (!found) {
+                std::cerr << "unknown scenario '" << value
+                          << "' (--list-scenarios)\n";
+                return 2;
+            }
         }
+    }
 
-        for (const auto &arg : args) {
-            if (consumeFlag(arg, "--scenario", &value)) {
-                continue; // handled above
-            } else if (arg == "--list-scenarios") {
-                for (const auto &scenario : fleet::namedScenarios())
-                    std::cout << scenario.name << " — "
-                              << scenario.description << "\n";
-                return 0;
-            } else if (arg == "--list-objectives") {
-                for (const auto objective :
-                     {plan::Objective::DeliveredPerDay,
-                      plan::Objective::InferencesPerDay,
-                      plan::Objective::EnergyPerInference})
-                    std::cout << plan::objectiveName(objective)
-                              << "\n";
-                return 0;
-            } else if (consumeFlag(arg, "--devices", &value)) {
-                fleet_plan.devices =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--nets", &value)) {
-                fleet_plan.nets = splitCsv(value);
-            } else if (consumeFlag(arg, "--impls", &value)) {
-                fleet_plan.impls.clear();
-                for (const auto &name : splitCsv(value)) {
-                    const auto *info =
-                        kernels::ImplRegistry::instance().find(name);
-                    if (info == nullptr)
-                        fatal("unknown implementation '", name, "'");
-                    fleet_plan.impls.push_back(info->id);
-                }
-            } else if (consumeFlag(arg, "--envs", &value)) {
-                fleet_plan.environments.clear();
-                for (const auto &label : splitCsv(value)) {
-                    env::EnvRef ref;
-                    std::string error;
-                    if (!env::parseEnvRef(label, &ref, &error))
-                        fatal(error);
-                    fleet_plan.environments.push_back(std::move(ref));
-                }
-            } else if (consumeFlag(arg, "--pipelines", &value)) {
-                fleet_plan.pipelines = splitCsv(value);
-            } else if (consumeFlag(arg, "--horizon", &value)) {
-                fleet_plan.horizonSeconds = std::stod(value);
-            } else if (consumeFlag(arg, "--max-inferences", &value)) {
-                fleet_plan.maxInferencesPerDevice =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--seed", &value)) {
-                fleet_plan.baseSeed = std::stoull(value);
-            } else if (consumeFlag(arg, "--objective", &value)) {
-                if (!plan::objectiveFromName(value,
-                                             &options.objective)) {
-                    std::cerr << "unknown objective '" << value
-                              << "' (--list-objectives)\n";
-                    return 2;
-                }
-            } else if (consumeFlag(arg, "--ingest", &value)) {
-                ingest_paths.push_back(value);
-            } else if (arg == "--no-probe") {
-                options.probe = false;
-            } else if (consumeFlag(arg, "--probe-devices", &value)) {
-                options.probeDevices =
-                    static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--min-cell-devices",
-                                   &value)) {
-                options.minCellDevices = std::stoull(value);
-            } else if (consumeFlag(arg, "--plan", &value)) {
-                plan_path = value;
-            } else if (arg == "--confirm") {
-                confirm = true;
-            } else if (consumeFlag(arg, "--confirm-summary",
-                                   &value)) {
-                confirm_summary_path = value;
-            } else if (consumeFlag(arg, "--from-plan", &value)) {
-                from_plan_path = value;
-            } else if (consumeFlag(arg, "--threads", &value)) {
-                options.fleet.threads =
-                    static_cast<u32>(std::stoul(value));
-            } else if (arg == "--no-cache") {
-                options.fleet.useCache = false;
-            } else {
-                return usage();
+    for (const auto &arg : args) {
+        if (consumeFlag(arg, "--scenario", &value)) {
+            continue; // handled above
+        } else if (arg == "--list-scenarios") {
+            for (const auto &scenario : fleet::namedScenarios())
+                std::cout << scenario.name << " — "
+                          << scenario.description << "\n";
+            return 0;
+        } else if (arg == "--list-objectives") {
+            for (const auto objective :
+                 {plan::Objective::DeliveredPerDay,
+                  plan::Objective::InferencesPerDay,
+                  plan::Objective::EnergyPerInference})
+                std::cout << plan::objectiveName(objective)
+                          << "\n";
+            return 0;
+        } else if (consumeFlag(arg, "--devices", &value)) {
+            if (!number("--devices", u32{1}, kU32Max,
+                        &fleet_plan.devices))
+                return 2;
+        } else if (consumeFlag(arg, "--nets", &value)) {
+            fleet_plan.nets = splitCsv(value);
+        } else if (consumeFlag(arg, "--impls", &value)) {
+            fleet_plan.impls.clear();
+            for (const auto &name : splitCsv(value)) {
+                const auto *info =
+                    kernels::ImplRegistry::instance().find(name);
+                if (info == nullptr)
+                    fatal("unknown implementation '", name, "'");
+                fleet_plan.impls.push_back(info->id);
             }
+        } else if (consumeFlag(arg, "--envs", &value)) {
+            fleet_plan.environments.clear();
+            for (const auto &label : splitCsv(value)) {
+                env::EnvRef ref;
+                std::string error;
+                if (!env::parseEnvRef(label, &ref, &error))
+                    fatal(error);
+                fleet_plan.environments.push_back(std::move(ref));
+            }
+        } else if (consumeFlag(arg, "--pipelines", &value)) {
+            fleet_plan.pipelines = splitCsv(value);
+        } else if (consumeFlag(arg, "--horizon", &value)) {
+            if (!number("--horizon", cli::kMinHorizonSeconds,
+                        cli::kMaxHorizonSeconds,
+                        &fleet_plan.horizonSeconds))
+                return 2;
+        } else if (consumeFlag(arg, "--max-inferences", &value)) {
+            if (!number("--max-inferences", u32{0}, kU32Max,
+                        &fleet_plan.maxInferencesPerDevice))
+                return 2;
+        } else if (consumeFlag(arg, "--seed", &value)) {
+            if (!number("--seed", u64{0}, kU64Max,
+                        &fleet_plan.baseSeed))
+                return 2;
+        } else if (consumeFlag(arg, "--objective", &value)) {
+            if (!plan::objectiveFromName(value,
+                                         &options.objective)) {
+                std::cerr << "unknown objective '" << value
+                          << "' (--list-objectives)\n";
+                return 2;
+            }
+        } else if (consumeFlag(arg, "--ingest", &value)) {
+            ingest_paths.push_back(value);
+        } else if (arg == "--no-probe") {
+            options.probe = false;
+        } else if (consumeFlag(arg, "--probe-devices", &value)) {
+            if (!number("--probe-devices", u32{0}, kU32Max,
+                        &options.probeDevices))
+                return 2;
+        } else if (consumeFlag(arg, "--min-cell-devices",
+                               &value)) {
+            if (!number("--min-cell-devices", u64{0}, kU64Max,
+                        &options.minCellDevices))
+                return 2;
+        } else if (consumeFlag(arg, "--plan", &value)) {
+            plan_path = value;
+        } else if (arg == "--confirm") {
+            confirm = true;
+        } else if (consumeFlag(arg, "--confirm-summary",
+                               &value)) {
+            confirm_summary_path = value;
+        } else if (consumeFlag(arg, "--from-plan", &value)) {
+            from_plan_path = value;
+        } else if (consumeFlag(arg, "--threads", &value)) {
+            if (!number("--threads", u32{0}, cli::kMaxThreads,
+                        &options.fleet.threads))
+                return 2;
+        } else if (arg == "--no-cache") {
+            options.fleet.useCache = false;
+        } else {
+            return usage();
         }
-    } catch (const std::exception &) { // bad numeric flag value
-        return usage();
     }
 
     plan::Plan plan;

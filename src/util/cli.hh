@@ -1,7 +1,8 @@
 /**
  * @file
  * Tiny argument-parsing helpers shared by the CLI binaries
- * (sonic_oracle, sonic_zoo, sonic_fleet). Header-only.
+ * (sonic_fleet, sonic_sweep, sonic_plan, sonic_oracle, sonic_zoo, ...).
+ * Header-only.
  */
 
 #ifndef SONIC_UTIL_CLI_HH
@@ -9,6 +10,7 @@
 
 #include <charconv>
 #include <cmath>
+#include <iostream>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "util/fmt.hh"
+#include "util/types.hh"
 
 namespace sonic::cli
 {
@@ -84,6 +87,34 @@ parseNumber(std::string_view flag, std::string_view text, T lo, T hi,
     }
     return std::nullopt;
 }
+
+/**
+ * parseNumber() for a CLI flag: store the value in *out, or print the
+ * diagnostic to stderr and return false (the caller exits 2).
+ */
+template <typename T>
+bool
+numberFlag(std::string_view flag, std::string_view text, T lo, T hi,
+           T *out)
+{
+    std::string error;
+    const auto parsed = parseNumber(flag, text, lo, hi, &error);
+    if (!parsed) {
+        std::cerr << error << "\n";
+        return false;
+    }
+    *out = *parsed;
+    return true;
+}
+
+/** --threads cap shared by the CLIs (0 = hardware concurrency): every
+ * worker is an OS thread. */
+inline constexpr u32 kMaxThreads = 1024;
+
+/** Fleet --horizon bounds (sonic_fleet, sonic_plan): a millisecond to
+ * about 31.7 years. */
+inline constexpr f64 kMinHorizonSeconds = 1e-3;
+inline constexpr f64 kMaxHorizonSeconds = 1e9;
 
 } // namespace sonic::cli
 

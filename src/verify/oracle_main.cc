@@ -45,6 +45,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -65,6 +66,11 @@ namespace
 using namespace sonic;
 using cli::consumeFlag;
 using cli::splitCsv;
+
+/** --schedules and --max-failures caps: every schedule, with up to
+ * that many failure points, is generated up front. */
+constexpr u32 kMaxSchedules = 100000;
+constexpr u32 kMaxFailuresPerSchedule = 1024;
 
 struct Args
 {
@@ -339,43 +345,49 @@ main(int argc, char **argv)
 {
     Args args;
     std::string value;
-    try {
-        for (int i = 1; i < argc; ++i) {
-            const std::string arg = argv[i];
-            if (consumeFlag(arg, "--net", &value)) {
-                args.net = value;
-            } else if (consumeFlag(arg, "--impls", &value)) {
-                args.impls = splitCsv(value);
-            } else if (consumeFlag(arg, "--load", &value)) {
-                args.loadModels = splitCsv(value);
-            } else if (consumeFlag(arg, "--env", &value)) {
-                args.environment = value;
-            } else if (consumeFlag(arg, "--pipelines", &value)) {
-                args.pipelines = value == "all"
-                    ? pipeline::PipelineRegistry::instance().names()
-                    : splitCsv(value);
-            } else if (arg == "--list") {
-                args.list = true;
-            } else if (consumeFlag(arg, "--schedules", &value)) {
-                args.schedules = static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--seed", &value)) {
-                args.seed = std::stoull(value);
-            } else if (consumeFlag(arg, "--max-failures", &value)) {
-                args.maxFailures = static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--threads", &value)) {
-                args.threads = static_cast<u32>(std::stoul(value));
-            } else if (consumeFlag(arg, "--artifact", &value)) {
-                args.artifact = value;
-            } else if (consumeFlag(arg, "--emit-golden", &value)) {
-                args.emitGolden = value;
-            } else if (consumeFlag(arg, "--verify-golden", &value)) {
-                args.verifyGolden = value;
-            } else {
-                return usage();
-            }
+    for (int i = 1; i < argc; ++i) {
+        const std::string arg = argv[i];
+        if (consumeFlag(arg, "--net", &value)) {
+            args.net = value;
+        } else if (consumeFlag(arg, "--impls", &value)) {
+            args.impls = splitCsv(value);
+        } else if (consumeFlag(arg, "--load", &value)) {
+            args.loadModels = splitCsv(value);
+        } else if (consumeFlag(arg, "--env", &value)) {
+            args.environment = value;
+        } else if (consumeFlag(arg, "--pipelines", &value)) {
+            args.pipelines = value == "all"
+                ? pipeline::PipelineRegistry::instance().names()
+                : splitCsv(value);
+        } else if (arg == "--list") {
+            args.list = true;
+        } else if (consumeFlag(arg, "--schedules", &value)) {
+            if (!cli::numberFlag("--schedules", value, u32{1},
+                                 kMaxSchedules, &args.schedules))
+                return 2;
+        } else if (consumeFlag(arg, "--seed", &value)) {
+            if (!cli::numberFlag("--seed", value, u64{0},
+                                 std::numeric_limits<u64>::max(),
+                                 &args.seed))
+                return 2;
+        } else if (consumeFlag(arg, "--max-failures", &value)) {
+            if (!cli::numberFlag("--max-failures", value, u32{1},
+                                 kMaxFailuresPerSchedule,
+                                 &args.maxFailures))
+                return 2;
+        } else if (consumeFlag(arg, "--threads", &value)) {
+            if (!cli::numberFlag("--threads", value, u32{0},
+                                 cli::kMaxThreads, &args.threads))
+                return 2;
+        } else if (consumeFlag(arg, "--artifact", &value)) {
+            args.artifact = value;
+        } else if (consumeFlag(arg, "--emit-golden", &value)) {
+            args.emitGolden = value;
+        } else if (consumeFlag(arg, "--verify-golden", &value)) {
+            args.verifyGolden = value;
+        } else {
+            return usage();
         }
-    } catch (const std::exception &) { // bad numeric flag value
-        return usage();
     }
 
     auto &zoo = dnn::ModelZoo::instance();

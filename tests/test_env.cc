@@ -8,8 +8,11 @@
  * and per-op-draw devices must brown out on the identical operation).
  */
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <fstream>
+#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +20,7 @@
 #include "arch/device.hh"
 #include "env/environment.hh"
 #include "env/traces.hh"
+#include "util/rng.hh"
 
 namespace sonic::env
 {
@@ -64,6 +68,24 @@ TEST(HarvestModel, DarkSpansDelayRecharge)
     EXPECT_LT(model.secondsToHarvest(110.0, 1e-4), 1.0);
 }
 
+TEST(HarvestModel, EnergyIntegralAdvancesPastSubUlpSteps)
+{
+    // Entering the duty-cycle source's 10 ms ramp from a clock past
+    // one period, the ramp end sits 2e-16 s above the wrapped time:
+    // a step the clock (ulp ~2e-15 at 11 s) cannot represent. The
+    // march once repeated that step ~1e16 times; it must now finish
+    // and still invert secondsToHarvest.
+    const HarvestModel model({{0.0, 10e-3},
+                              {1.0, 10e-3},
+                              {1.01, 0.0},
+                              {9.99, 0.0}},
+                             10.0);
+    const f64 t0 = std::nextafter(10.0, 0.0);
+    const f64 joules = 0x1.477ffbb0a5fd8p-5;
+    const f64 seconds = model.secondsToHarvest(t0, joules);
+    EXPECT_NEAR(model.energyJoules(t0, seconds), joules, 1e-9 * joules);
+}
+
 TEST(HarvestModel, InvalidModelsDie)
 {
     EXPECT_DEATH(HarvestModel({{1.0, 1e-3}}, 10.0), "start at t = 0");
@@ -72,6 +94,338 @@ TEST(HarvestModel, InvalidModelsDie)
                  "beyond the period");
     // All-dark: could never recharge anything.
     EXPECT_DEATH(HarvestModel({{0.0, 0.0}}, 10.0), "positive energy");
+}
+
+// --- Reference oracle ----------------------------------------------
+
+/**
+ * The harvest inversion as it stood before the segment table, the
+ * exact wrap and the supply's segment cursor: watts(),
+ * secondsToHarvest() and the supply's clock wrap, kept verbatim (bar
+ * renaming) as the bit-for-bit reference the production model must
+ * reproduce.
+ */
+struct ReferenceModel
+{
+    std::vector<HarvestModel::Point> points_;
+    f64 period_;
+    f64 periodJoules_;
+
+    explicit ReferenceModel(const HarvestModel &model)
+        : points_(model.points()), period_(model.periodSeconds()),
+          periodJoules_(model.energyJoulesPerPeriod())
+    {
+    }
+
+    f64
+    segmentEnd(u64 i) const
+    {
+        return i + 1 < points_.size() ? points_[i + 1].seconds : period_;
+    }
+
+    f64
+    segmentEndWatts(u64 i) const
+    {
+        return i + 1 < points_.size() ? points_[i + 1].watts
+                                      : points_.front().watts;
+    }
+
+    f64
+    watts(f64 t) const
+    {
+        f64 local = std::fmod(t, period_);
+        if (local < 0.0)
+            local += period_;
+        u64 i = points_.size() - 1;
+        while (i > 0 && points_[i].seconds > local)
+            --i;
+        const f64 t0 = points_[i].seconds;
+        const f64 t1 = segmentEnd(i);
+        const f64 w0 = points_[i].watts;
+        const f64 w1 = segmentEndWatts(i);
+        if (t1 <= t0)
+            return w0;
+        return w0 + (w1 - w0) * ((local - t0) / (t1 - t0));
+    }
+
+    f64
+    secondsToHarvest(f64 t0, f64 joules) const
+    {
+        if (joules <= 0.0)
+            return 0.0;
+        f64 seconds = 0.0;
+        if (joules > periodJoules_) {
+            const f64 periods = std::floor(joules / periodJoules_);
+            seconds += periods * period_;
+            joules -= periods * periodJoules_;
+            if (joules <= 0.0)
+                return seconds;
+        }
+        f64 t = t0 + seconds;
+        const u64 max_steps = 2 * (points_.size() + 1) + 4;
+        for (u64 step = 0; step < max_steps; ++step) {
+            f64 local = std::fmod(t, period_);
+            if (local < 0.0)
+                local += period_;
+            u64 i = points_.size() - 1;
+            while (i > 0 && points_[i].seconds > local)
+                --i;
+            const f64 seg_end = segmentEnd(i);
+            f64 span = seg_end - local;
+            if (span <= 0.0)
+                span = 0.0;
+            const f64 w0 = watts(t);
+            const f64 w1 = watts(t + span);
+            const f64 seg_joules = 0.5 * (w0 + w1) * span;
+            if (seg_joules >= joules && seg_joules > 0.0) {
+                const f64 m = span > 0.0 ? (w1 - w0) / span : 0.0;
+                f64 tau;
+                if (std::fabs(m) < 1e-18) {
+                    tau = joules / w0;
+                } else {
+                    const f64 disc = w0 * w0 + 2.0 * m * joules;
+                    tau = (std::sqrt(std::max(disc, 0.0)) - w0) / m;
+                }
+                tau = std::clamp(tau, 0.0, span);
+                return seconds + tau;
+            }
+            joules -= seg_joules;
+            seconds += span;
+            t += span;
+            if (span == 0.0) {
+                const f64 nudge = period_ * 1e-12;
+                seconds += nudge;
+                t += nudge;
+            }
+        }
+        return seconds + joules / (periodJoules_ / period_);
+    }
+
+    /** HarvestSupply's clock wrap. */
+    void
+    wrapClock(f64 *sim_seconds) const
+    {
+        if (period_ > 0.0 && *sim_seconds >= period_)
+            *sim_seconds = std::fmod(*sim_seconds, period_);
+    }
+};
+
+u64
+bits(f64 x)
+{
+    return std::bit_cast<u64>(x);
+}
+
+/** One model the oracle runs over, with its draw budget. */
+struct OracleModel
+{
+    std::string name;
+    HarvestModel model;
+    u64 draws;
+};
+
+/** Every registered harvest environment (2^20 draws each) plus
+ * hand-built adversarial shapes (2^18 each). */
+std::vector<OracleModel>
+oracleModels()
+{
+    std::vector<OracleModel> out;
+    auto &registry = EnvRegistry::instance();
+    for (const auto &name : registry.names()) {
+        const auto psu = registry.make({name, 0.0}, 1);
+        if (const auto *h = dynamic_cast<const HarvestSupply *>(psu.get()))
+            out.push_back({name, h->model(), 1u << 20});
+    }
+    const auto adversarial = [&out](std::string name, HarvestModel m) {
+        out.push_back({std::move(name), std::move(m), 1u << 18});
+    };
+    const f64 one_up = std::nextafter(1.0, 2.0);
+    adversarial("single-point", HarvestModel({{0.0, 3e-3}}, 5.0));
+    adversarial("zero-watt-spans",
+                HarvestModel({{0.0, 0.0},
+                              {1.0, 0.0},
+                              {2.0, 4e-3},
+                              {3.0, 0.0},
+                              {7.0, 0.0}},
+                             10.0));
+    // A flat -0.0 span from t = 0 (read at t = -0.0 too) and a
+    // +0.0 -> -0.0 wrap: the sign of every zero rate must survive.
+    adversarial("negative-zero-watts",
+                HarvestModel({{0.0, -0.0},
+                              {1.0, -0.0},
+                              {1.5, 2e-3},
+                              {2.0, -0.0},
+                              {3.0, -0.0},
+                              {4.0, 0.0}},
+                             5.0));
+    adversarial("ulp-apart-points",
+                HarvestModel({{0.0, 1e-3},
+                              {1.0, 1e-3},
+                              {one_up, 5e-3},
+                              {std::nextafter(one_up, 2.0), 0.0},
+                              {2.0, 7e-3}},
+                             std::nextafter(2.0, 3.0)));
+    // Falling ramps whose end rate is not w0 + (w1 - w0): the rate
+    // read at a segment end must be the next segment's, not the
+    // extrapolated one.
+    adversarial("inexact-slopes",
+                HarvestModel({{0.0, 0.3e-3},
+                              {1.0, 0.1e-3},
+                              {2.5, 2.2e-3},
+                              {3.0, 0.7e-3},
+                              {4.0, 7e-3},
+                              {4.5, 0.3e-3}},
+                             6.0));
+    adversarial("steep-ramps",
+                HarvestModel({{0.0, 0.0},
+                              {1e-9, 50e-3},
+                              {0.25, 1e-9},
+                              {0.5, 0.0}},
+                             0.75));
+    return out;
+}
+
+/**
+ * Seeded adversarial clock reading for a model: uniform phases,
+ * unwrapped times up to a few periods, exact control-point offsets and
+ * period multiples, their 1-ulp neighbours, and -0.0.
+ */
+f64
+drawTime(Rng &rng, const HarvestModel &model)
+{
+    const f64 period = model.periodSeconds();
+    const auto &pts = model.points();
+    const f64 edge = rng.below(4) == 0
+        ? period
+        : pts[rng.below(pts.size())].seconds;
+    switch (rng.below(8)) {
+    case 0:
+    case 1:
+    case 2:
+        return rng.uniform(0.0, period);
+    case 3:
+        return rng.uniform(0.0, 4.0 * period);
+    case 4:
+        return edge + period * static_cast<f64>(rng.below(3));
+    case 5:
+        return std::nextafter(edge, 0.0);
+    case 6:
+        return rng.below(16) == 0
+            ? -0.0
+            : std::nextafter(edge, std::numeric_limits<f64>::infinity());
+    default:
+        return rng.uniform(0.0, 1e6 * period);
+    }
+}
+
+/** Seeded energy request: recharge-sized deficits, sub-period and
+ * multi-period amounts, exact period multiples and their neighbours. */
+f64
+drawJoules(Rng &rng, const HarvestModel &model)
+{
+    const f64 per_period = model.energyJoulesPerPeriod();
+    switch (rng.below(8)) {
+    case 0:
+        // A full 100 uF / 1 mF buffer or a partial one.
+        return (rng.below(2) == 0 ? 1.26e-4 : 1.26e-5)
+             * (rng.below(2) == 0 ? 1.0 : rng.uniform());
+    case 1:
+    case 2:
+        return per_period * std::exp2(rng.uniform(-40.0, 0.0));
+    case 3:
+        return per_period * rng.uniform(0.0, 4.0);
+    case 4:
+        return per_period * static_cast<f64>(1 + rng.below(3));
+    case 5:
+        return std::nextafter(per_period, 0.0);
+    case 6:
+        return std::nextafter(per_period * 2.0,
+                              std::numeric_limits<f64>::infinity());
+    default:
+        return rng.below(2) == 0 ? 0.0 : -per_period;
+    }
+}
+
+TEST(HarvestOracle, InversionMatchesTheReferenceBitForBit)
+{
+    // Each draw inverts the integral from a fresh time and reads the
+    // rate there.
+    for (const auto &[name, model, draws] : oracleModels()) {
+        const ReferenceModel ref(model);
+        Rng rng(fnv1a(name));
+        u64 mismatches = 0;
+        for (u64 d = 0; d < draws; ++d) {
+            const f64 t0 = drawTime(rng, model);
+            const f64 joules = drawJoules(rng, model);
+            const f64 want = ref.secondsToHarvest(t0, joules);
+            const f64 got = model.secondsToHarvest(t0, joules);
+            const f64 want_w = ref.watts(t0);
+            const f64 got_w = model.watts(t0);
+            const bool same = bits(want) == bits(got)
+                && bits(want_w) == bits(got_w);
+            if (!same && mismatches++ < 5)
+                ADD_FAILURE() << name << ": t0 " << std::hexfloat << t0
+                              << " joules " << joules << " seconds "
+                              << want << " vs " << got << ", watts "
+                              << want_w << " vs " << got_w;
+        }
+        EXPECT_EQ(mismatches, 0u) << name;
+    }
+}
+
+TEST(HarvestOracle, SupplyWalksMatchTheReferenceBitForBit)
+{
+    // Whole elapse/recharge sequences through one HarvestSupply, so
+    // its segment cursor is carried across calls exactly as in a
+    // fleet replay: brown-outs to empty, partial drains, uptimes from
+    // sub-microsecond to several periods.
+    constexpr u64 kWalks = 64;
+    constexpr u64 kStepsPerWalk = 4096;
+    for (const auto &[name, model, draws] : oracleModels()) {
+        const ReferenceModel ref(model);
+        Rng rng(fnv1a(name) ^ 0x5eed);
+        u64 mismatches = 0;
+        for (u64 w = 0; w < kWalks; ++w) {
+            const f64 farads = rng.below(2) == 0 ? 100e-6 : 1e-3;
+            const f64 phase = rng.uniform(0.0, model.periodSeconds());
+            HarvestSupply supply(name, model, farads, phase);
+            const f64 capacity = supply.capacityNj();
+            f64 sim = phase;
+            f64 harvested = capacity;
+            for (u64 step = 0; step < kStepsPerWalk; ++step) {
+                f64 live = model.periodSeconds()
+                         * std::exp2(rng.uniform(-30.0, 2.0));
+                if (rng.below(16) == 0)
+                    live = 0.0;
+                supply.elapse(live);
+                if (live > 0.0) {
+                    sim += live;
+                    ref.wrapClock(&sim);
+                }
+                const f64 level =
+                    rng.below(2) == 0 ? 0.0 : capacity * rng.uniform();
+                supply.setLevelNjForReplay(level);
+                const f64 deficit = capacity - level;
+                const f64 want =
+                    ref.secondsToHarvest(sim, deficit * 1e-9);
+                sim += want;
+                ref.wrapClock(&sim);
+                harvested += deficit;
+                const f64 got = supply.recharge();
+                const bool same = bits(want) == bits(got)
+                    && bits(sim) == bits(supply.simSeconds())
+                    && bits(harvested) == bits(supply.harvestedNj())
+                    && supply.levelNj() == capacity;
+                if (!same && mismatches++ < 5)
+                    ADD_FAILURE()
+                        << name << " walk " << w << " step " << step
+                        << ": dead " << std::hexfloat << want << " vs "
+                        << got << ", clock " << sim << " vs "
+                        << supply.simSeconds();
+            }
+        }
+        EXPECT_EQ(mismatches, 0u) << name;
+    }
 }
 
 // --- EnvRef parsing -------------------------------------------------

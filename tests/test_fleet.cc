@@ -14,6 +14,7 @@
 
 #include "fleet/fleet.hh"
 #include "fleet/round_cache.hh"
+#include "test_helpers.hh"
 
 namespace sonic::fleet
 {
@@ -511,6 +512,50 @@ TEST(Fleet, CacheStatsAreReportedButNotSerialized)
     const std::string json = summary.toJson();
     EXPECT_EQ(json.find("roundHits"), std::string::npos);
     EXPECT_EQ(json.find("hitRate"), std::string::npos);
+}
+
+FleetPlan
+scenarioPlan(const std::string &name)
+{
+    for (const auto &scenario : namedScenarios())
+        if (scenario.name == name)
+            return scenario.plan;
+    ADD_FAILURE() << "no scenario " << name;
+    return {};
+}
+
+/** FNV-1a digest of a fleet's summary JSON at the given thread count. */
+u64
+summaryDigest(const FleetPlan &plan, u32 threads)
+{
+    FleetOptions options;
+    options.threads = threads;
+    // Pins the production (Release) path in every build type; the
+    // cache cross-check is covered by CacheVerificationCrossChecksEveryHit.
+    options.verifyCache = false;
+    return testutil::bitDigest(runFleet(plan, options).toJson());
+}
+
+/**
+ * Pinned summary bits of the fleets the replay and reduction paths
+ * carry: mixed-1k at 20,000 devices (almost every round a round-cache
+ * hit, ~5M replayed recharges) and smoke-200 across the infer-only and
+ * wildlife pipelines (every kernel, trace and always-on environments,
+ * uncached ACK-variant rounds). Any drift in the harvest inversion,
+ * the replay walk or the device-order reduction changes a digest.
+ */
+TEST(FleetPinned, SummaryDigestsAtOneAndFourThreads)
+{
+    auto mixed = scenarioPlan("mixed-1k");
+    mixed.devices = 20000;
+    auto smoke = scenarioPlan("smoke-200");
+    smoke.pipelines = {"infer-only", "wildlife"};
+    for (const u32 threads : {1u, 4u}) {
+        EXPECT_EQ(summaryDigest(mixed, threads), 0x605ba16b04c04746ull)
+            << "mixed-1k@20000, threads " << threads;
+        EXPECT_EQ(summaryDigest(smoke, threads), 0xe86983e89be85d42ull)
+            << "smoke-200 infer-only+wildlife, threads " << threads;
+    }
 }
 
 } // namespace
