@@ -11,18 +11,24 @@
  * Two harnesses share this binary:
  *  - `--emit-json[=PATH]` runs a self-contained chrono-timed harness
  *    and writes BENCH_micro_ops.json with simulated ops/sec for the
- *    consume dispatch, NvArray access, and a sparse-FC inner loop
- *    (plus the per-op-draw reference numbers, so the lease speedup is
- *    recorded in the artifact). CI runs this in Release and uploads
- *    the JSON to track the performance trajectory.
+ *    consume dispatch, NvArray access, a sparse-FC inner loop, a
+ *    Tile-128-sized redo-log task and a tiny SONIC inference: median,
+ *    min and max over repeated runs, the per-op-draw reference numbers
+ *    measured in the same run (so the lease speedup is a same-run
+ *    ratio), and the environment they were measured in. CI runs this
+ *    in Release and uploads the JSON.
  *  - without arguments, the google-benchmark suite runs (when the
  *    library is available at configure time).
  */
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <iterator>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "arch/memory.hh"
@@ -68,7 +74,7 @@ simulatedOps(const arch::Device &dev)
  * iteration charges). */
 template <typename F>
 f64
-measureOpsPerSec(u64 ops_per_iter, F &&body, f64 min_seconds = 0.2)
+measureOpsPerSec(u64 ops_per_iter, F &&body, f64 min_seconds = 0.1)
 {
     using clock = std::chrono::steady_clock;
     u64 iters = 1024;
@@ -85,57 +91,71 @@ measureOpsPerSec(u64 ops_per_iter, F &&body, f64 min_seconds = 0.2)
     }
 }
 
-struct JsonField
+/** Timed repeats per case; each case reports median, min and max. */
+constexpr u32 kRepeats = 5;
+
+/** One case's throughput over kRepeats runs of the harness. */
+struct Measured
 {
     std::string key;
-    f64 value;
+    f64 median = 0.0;
+    f64 min = 0.0;
+    f64 max = 0.0;
 };
+
+template <typename F>
+Measured
+measureRepeated(std::string key, u64 ops_per_iter, F &&body)
+{
+    std::vector<f64> runs;
+    for (u32 r = 0; r < kRepeats; ++r)
+        runs.push_back(measureOpsPerSec(ops_per_iter, body));
+    std::sort(runs.begin(), runs.end());
+    return {std::move(key), runs[kRepeats / 2], runs.front(),
+            runs.back()};
+}
 
 /** The --emit-json harness (see file header). */
 int
 emitJson(const std::string &path)
 {
-    std::vector<JsonField> fields;
+    std::vector<Measured> cases;
 
     // --- Device::consume dispatch -------------------------------------
     // Single-op calls, lease fast path vs per-op virtual draw.
     {
         auto dev = continuousDevice();
-        fields.push_back(
-            {"consume_single_ops_per_sec",
-             measureOpsPerSec(1, [&](u64 n) {
-                 for (u64 i = 0; i < n; ++i)
-                     dev.consume(arch::Op::FixedMul);
-             })});
+        cases.push_back(measureRepeated(
+            "consume_single_ops_per_sec", 1, [&](u64 n) {
+                for (u64 i = 0; i < n; ++i)
+                    dev.consume(arch::Op::FixedMul);
+            }));
     }
     {
         auto dev = continuousDevice(/*per_op_draw=*/true);
-        fields.push_back(
-            {"consume_single_per_op_draw_ops_per_sec",
-             measureOpsPerSec(1, [&](u64 n) {
-                 for (u64 i = 0; i < n; ++i)
-                     dev.consume(arch::Op::FixedMul);
-             })});
+        cases.push_back(measureRepeated(
+            "consume_single_per_op_draw_ops_per_sec", 1, [&](u64 n) {
+                for (u64 i = 0; i < n; ++i)
+                    dev.consume(arch::Op::FixedMul);
+            }));
     }
     // Span-batched charging (count=32), the shape the kernels dispatch
     // after the bulk-accessor migration.
     {
         auto dev = continuousDevice();
-        fields.push_back(
-            {"consume_batch32_ops_per_sec",
-             measureOpsPerSec(32, [&](u64 n) {
-                 for (u64 i = 0; i < n; ++i)
-                     dev.consume(arch::Op::FixedMul, 32);
-             })});
+        cases.push_back(measureRepeated(
+            "consume_batch32_ops_per_sec", 32, [&](u64 n) {
+                for (u64 i = 0; i < n; ++i)
+                    dev.consume(arch::Op::FixedMul, 32);
+            }));
     }
     {
         auto dev = continuousDevice(/*per_op_draw=*/true);
-        fields.push_back(
-            {"consume_batch32_per_op_draw_ops_per_sec",
-             measureOpsPerSec(32, [&](u64 n) {
-                 for (u64 i = 0; i < n; ++i)
-                     dev.consume(arch::Op::FixedMul, 32);
-             })});
+        cases.push_back(measureRepeated(
+            "consume_batch32_per_op_draw_ops_per_sec", 32, [&](u64 n) {
+                for (u64 i = 0; i < n; ++i)
+                    dev.consume(arch::Op::FixedMul, 32);
+            }));
     }
 
     // --- NvArray access ------------------------------------------------
@@ -143,31 +163,29 @@ emitJson(const std::string &path)
         auto dev = continuousDevice();
         arch::NvArray<i16> arr(dev, 1024, "bench");
         u32 i = 0;
-        fields.push_back(
-            {"nvarray_rw_single_ops_per_sec",
-             measureOpsPerSec(2, [&](u64 n) {
-                 for (u64 k = 0; k < n; ++k) {
-                     arr.write(i & 1023, static_cast<i16>(i));
-                     volatile i16 v = arr.read(i & 1023);
-                     (void)v;
-                     ++i;
-                 }
-             })});
+        cases.push_back(measureRepeated(
+            "nvarray_rw_single_ops_per_sec", 2, [&](u64 n) {
+                for (u64 k = 0; k < n; ++k) {
+                    arr.write(i & 1023, static_cast<i16>(i));
+                    volatile i16 v = arr.read(i & 1023);
+                    (void)v;
+                    ++i;
+                }
+            }));
     }
     {
         auto dev = continuousDevice(/*per_op_draw=*/true);
         arch::NvArray<i16> arr(dev, 1024, "bench");
         u32 i = 0;
-        fields.push_back(
-            {"nvarray_rw_per_op_draw_ops_per_sec",
-             measureOpsPerSec(2, [&](u64 n) {
-                 for (u64 k = 0; k < n; ++k) {
-                     arr.write(i & 1023, static_cast<i16>(i));
-                     volatile i16 v = arr.read(i & 1023);
-                     (void)v;
-                     ++i;
-                 }
-             })});
+        cases.push_back(measureRepeated(
+            "nvarray_rw_per_op_draw_ops_per_sec", 2, [&](u64 n) {
+                for (u64 k = 0; k < n; ++k) {
+                    arr.write(i & 1023, static_cast<i16>(i));
+                    volatile i16 v = arr.read(i & 1023);
+                    (void)v;
+                    ++i;
+                }
+            }));
     }
     // Span accessors: one 64-word bulk write + read round trip (the
     // kernels' post-migration access shape), reported per word moved.
@@ -176,16 +194,15 @@ emitJson(const std::string &path)
         arch::NvArray<i16> arr(dev, 1024, "bench");
         i16 buf[64] = {};
         u32 i = 0;
-        fields.push_back(
-            {"nvarray_span64_words_per_sec",
-             measureOpsPerSec(128, [&](u64 n) {
-                 for (u64 k = 0; k < n; ++k) {
-                     const u64 base = (i & 15) * 64;
-                     arr.writeRange(base, 64, buf);
-                     arr.readRange(base, 64, buf);
-                     ++i;
-                 }
-             })});
+        cases.push_back(measureRepeated(
+            "nvarray_span64_words_per_sec", 128, [&](u64 n) {
+                for (u64 k = 0; k < n; ++k) {
+                    const u64 base = (i & 15) * 64;
+                    arr.writeRange(base, 64, buf);
+                    arr.readRange(base, 64, buf);
+                    ++i;
+                }
+            }));
     }
 
     // --- Sparse-FC inner loop (base.cc's CSC traversal shape) ----------
@@ -239,8 +256,41 @@ emitJson(const std::string &path)
         // Calibrate simulated ops per outer iteration once.
         inner(1);
         const u64 ops_per_iter = simulatedOps(dev) - mark;
-        fields.push_back({"sparse_fc_inner_ops_per_sec",
-                          measureOpsPerSec(ops_per_iter, inner)});
+        cases.push_back(measureRepeated("sparse_fc_inner_ops_per_sec",
+                                        ops_per_iter, inner));
+    }
+
+    // --- Redo log: one Tile-128-sized task -----------------------------
+    // 128 logged writes, 128 logged reads of the same words, then the
+    // two-phase commit: the per-task shape of Tile-128 on the miss
+    // path. The Scheduler (and its read index) is reused, as a kernel
+    // reuses it across tasks.
+    {
+        auto dev = continuousDevice();
+        arch::NvArray<i16> arr(dev, 1024, "bench");
+        task::Program prog;
+        u32 round = 0;
+        const task::TaskId t =
+            prog.addTask("tile", [&](task::Runtime &rt) {
+                const u32 base = (round++ & 7) * 128;
+                for (u32 k = 0; k < 128; ++k)
+                    rt.logWrite(arr, base + k,
+                                static_cast<i16>(k + round));
+                for (u32 k = 0; k < 128; ++k) {
+                    volatile i16 v = rt.logRead(arr, base + k);
+                    (void)v;
+                }
+                return task::kDone;
+            });
+        task::Scheduler sched(dev, prog);
+        const u64 mark = simulatedOps(dev);
+        (void)sched.run(t);
+        const u64 ops_per_iter = simulatedOps(dev) - mark;
+        cases.push_back(measureRepeated(
+            "redo_log_rw_ops_per_sec", ops_per_iter, [&](u64 n) {
+                for (u64 k = 0; k < n; ++k)
+                    (void)sched.run(t);
+            }));
     }
 
     // --- End-to-end: tiny-network SONIC inference ----------------------
@@ -255,66 +305,38 @@ emitJson(const std::string &path)
             (void)kernels::runInference(net, kernels::Impl::Sonic);
             ops_per_iter = simulatedOps(dev);
         }
-        fields.push_back(
-            {"tiny_inference_sonic_sim_ops_per_sec",
-             measureOpsPerSec(ops_per_iter, [&](u64 n) {
-                 for (u64 k = 0; k < n; ++k) {
-                     auto dev = continuousDevice();
-                     dnn::DeviceNetwork net(dev, spec);
-                     net.loadInput(input);
-                     (void)kernels::runInference(
-                         net, kernels::Impl::Sonic);
-                 }
-             })});
+        cases.push_back(measureRepeated(
+            "tiny_inference_sonic_sim_ops_per_sec", ops_per_iter,
+            [&](u64 n) {
+                for (u64 k = 0; k < n; ++k) {
+                    auto dev = continuousDevice();
+                    dnn::DeviceNetwork net(dev, spec);
+                    net.loadInput(input);
+                    (void)kernels::runInference(net,
+                                                kernels::Impl::Sonic);
+                }
+            }));
     }
 
-    // Derived speedups (lease + batching vs per-op virtual draw).
-    auto find = [&](const char *key) -> f64 {
-        for (const auto &f : fields)
-            if (f.key == key)
-                return f.value;
+    // Same-run speedups of the medians (lease + batching vs per-op
+    // virtual draw).
+    auto median = [&](const char *key) -> f64 {
+        for (const auto &c : cases)
+            if (c.key == key)
+                return c.median;
         return 0.0;
     };
-    fields.push_back(
+    const std::pair<const char *, f64> speedups[] = {
         {"speedup_consume_batch32_vs_per_op_draw",
-         find("consume_batch32_ops_per_sec")
-             / find("consume_batch32_per_op_draw_ops_per_sec")});
-    fields.push_back(
+         median("consume_batch32_ops_per_sec")
+             / median("consume_batch32_per_op_draw_ops_per_sec")},
         {"speedup_consume_single_vs_per_op_draw",
-         find("consume_single_ops_per_sec")
-             / find("consume_single_per_op_draw_ops_per_sec")});
-    fields.push_back(
+         median("consume_single_ops_per_sec")
+             / median("consume_single_per_op_draw_ops_per_sec")},
         {"speedup_nvarray_span64_vs_single_per_op_draw",
-         find("nvarray_span64_words_per_sec")
-             / find("nvarray_rw_per_op_draw_ops_per_sec")});
-
-    // Pre-lease seed baselines, measured with this same chrono harness
-    // against the pre-PR tree (per-op virtual draw, per-element kernel
-    // charging, always-on asserts) on the PR-2 reference host. They
-    // anchor the speedup trajectory; re-measure when porting to a new
-    // reference machine.
-    constexpr f64 kSeedConsume = 2.511e8;
-    constexpr f64 kSeedNvArrayRw = 2.424e8;
-    constexpr f64 kSeedSparseFcInner = 2.628e8;
-    constexpr f64 kSeedTinySonic = 1.618e8;
-    fields.push_back({"seed_consume_ops_per_sec", kSeedConsume});
-    fields.push_back({"seed_nvarray_rw_ops_per_sec", kSeedNvArrayRw});
-    fields.push_back(
-        {"seed_sparse_fc_inner_ops_per_sec", kSeedSparseFcInner});
-    fields.push_back(
-        {"seed_tiny_inference_sonic_sim_ops_per_sec", kSeedTinySonic});
-    fields.push_back({"speedup_consume_batch32_vs_seed",
-                      find("consume_batch32_ops_per_sec")
-                          / kSeedConsume});
-    fields.push_back({"speedup_nvarray_span64_vs_seed",
-                      find("nvarray_span64_words_per_sec")
-                          / kSeedNvArrayRw});
-    fields.push_back({"speedup_sparse_fc_inner_vs_seed",
-                      find("sparse_fc_inner_ops_per_sec")
-                          / kSeedSparseFcInner});
-    fields.push_back({"speedup_tiny_inference_sonic_vs_seed",
-                      find("tiny_inference_sonic_sim_ops_per_sec")
-                          / kSeedTinySonic});
+         median("nvarray_span64_words_per_sec")
+             / median("nvarray_rw_per_op_draw_ops_per_sec")},
+    };
 
     std::FILE *out = std::fopen(path.c_str(), "w");
     if (out == nullptr) {
@@ -323,16 +345,30 @@ emitJson(const std::string &path)
     }
     std::fprintf(out, "{\n  \"bench\": \"micro_ops\",\n");
     std::fprintf(out, "  \"unit\": \"simulated ops per second\",\n");
-    for (u64 i = 0; i < fields.size(); ++i) {
-        std::fprintf(out, "  \"%s\": %.6g%s\n", fields[i].key.c_str(),
-                     fields[i].value,
-                     i + 1 < fields.size() ? "," : "");
+    std::fprintf(out,
+                 "  \"environment\": {\"threads\": 1, \"nproc\": %u, "
+                 "\"build_type\": \"%s\", \"cxx_flags\": \"%s\", "
+                 "\"compiler\": \"%s\", \"repeats\": %u},\n",
+                 std::thread::hardware_concurrency(),
+                 SONIC_BENCH_BUILD_TYPE, SONIC_BENCH_CXX_FLAGS,
+                 SONIC_BENCH_COMPILER, kRepeats);
+    for (const auto &c : cases) {
+        std::fprintf(out,
+                     "  \"%s\": {\"median\": %.6g, \"min\": %.6g, "
+                     "\"max\": %.6g},\n",
+                     c.key.c_str(), c.median, c.min, c.max);
+        std::printf("%-40s %.4g  [%.4g, %.4g]\n", c.key.c_str(),
+                    c.median, c.min, c.max);
+    }
+    for (u64 i = 0; i < std::size(speedups); ++i) {
+        std::fprintf(out, "  \"%s\": %.6g%s\n", speedups[i].first,
+                     speedups[i].second,
+                     i + 1 < std::size(speedups) ? "," : "");
+        std::printf("%-40s %.4g\n", speedups[i].first,
+                    speedups[i].second);
     }
     std::fprintf(out, "}\n");
     std::fclose(out);
-
-    for (const auto &f : fields)
-        std::printf("%-48s %.4g\n", f.key.c_str(), f.value);
     std::printf("wrote %s\n", path.c_str());
     return 0;
 }

@@ -208,8 +208,7 @@ Engine::runOne(const RunSpec &spec)
             result.rebootDigests.push_back(d.nvmDigest());
         });
     }
-    const dnn::NetworkSpec &net_spec = compressed(spec.net);
-    dnn::DeviceNetwork net(dev, net_spec);
+    dnn::DeviceNetwork net(dev, model(spec.net).lowered());
 
     const dnn::Dataset &data = dataset(spec.net);
     const auto &sample = data[spec.sampleIndex % data.size()];
@@ -279,7 +278,7 @@ Engine::run(const SweepPlan &plan,
     // ever read immutable artifacts (and so cache construction order —
     // hence content — is independent of the thread count).
     for (const auto &net : plan.netAxis()) {
-        compressed(net);
+        model(net).lowered();
         dataset(net);
     }
 

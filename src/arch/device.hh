@@ -11,6 +11,7 @@
 #ifndef SONIC_ARCH_DEVICE_HH
 #define SONIC_ARCH_DEVICE_HH
 
+#include <array>
 #include <functional>
 #include <memory>
 #include <string>
@@ -119,7 +120,8 @@ class Device
         if (probe_ != nullptr && layer != layer_)
             probe_->onLayer(*this, layer);
         layer_ = layer;
-        bucket_ = &stats_.bucketRef(layer_, part_);
+        layerBuckets_ = &stats_.layerBucketsRef(layer_);
+        bucket_ = &(*layerBuckets_)[static_cast<u32>(part_)];
     }
 
     void
@@ -128,7 +130,7 @@ class Device
         if (probe_ != nullptr && part != part_)
             probe_->onPart(*this, part);
         part_ = part;
-        bucket_ = &stats_.bucketRef(layer_, part_);
+        bucket_ = &(*layerBuckets_)[static_cast<u32>(part_)];
     }
 
     u16 currentLayer() const { return layer_; }
@@ -271,8 +273,13 @@ class Device
     u16 layer_ = 0;
     Part part_ = Part::Control;
 
-    /** Cached (layer_, part_) counters — Stats buckets are address-
-     * stable, so this is refreshed only on attribution changes. */
+    /**
+     * Cached counters of the current layer (all parts) and of the
+     * current (layer_, part_) bucket. Stats buckets are address-stable,
+     * so setLayer re-derives the layer's row from Stats and setPart is
+     * a pointer select within it.
+     */
+    std::array<OpCounters, kNumParts> *layerBuckets_ = nullptr;
     OpCounters *bucket_ = nullptr;
 
     /**

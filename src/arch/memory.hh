@@ -155,6 +155,14 @@ class NvArray : public NvmDigestible
         data_[i] = v;
     }
 
+    /** Uncharged bulk write of [base, base+n) from src. */
+    void
+    pokeRange(u64 base, u64 n, const T *src)
+    {
+        SONIC_DASSERT(base + n <= data_.size());
+        std::copy_n(src, n, data_.begin() + static_cast<i64>(base));
+    }
+
     void
     fillHost(T v)
     {

@@ -67,14 +67,15 @@ class Stats
     const OpCounters &bucket(u16 layer, Part part) const;
 
     /**
-     * Mutable bucket for the Device's batched-accounting fast path: the
-     * Device caches this pointer per (layer, part) and bumps the
-     * counters directly, so Stats::add's bounds check and double
-     * indexing are paid once per attribution change instead of once per
-     * simulated operation. Bucket storage is a deque, so the reference
-     * stays valid across registerLayer().
+     * Mutable buckets of one layer (all parts) for the Device's
+     * batched-accounting fast path. The Device caches this row on a
+     * layer change and its (layer, part) bucket on a part change, then
+     * bumps the counters directly, so the bounds check and deque
+     * indexing are paid once per layer change, not per part change or
+     * per simulated operation. Bucket storage is a deque, so the
+     * reference stays valid across registerLayer().
      */
-    OpCounters &bucketRef(u16 layer, Part part);
+    std::array<OpCounters, kNumParts> &layerBucketsRef(u16 layer);
 
     /** Sum over parts for one layer. */
     u64 layerCycles(u16 layer) const;
@@ -96,7 +97,8 @@ class Stats
 
   private:
     std::vector<std::string> layers_;
-    // buckets_[layer][part]; deque for address stability (see bucketRef)
+    // buckets_[layer][part]; deque for address stability (see
+    // layerBucketsRef)
     std::deque<std::array<OpCounters, kNumParts>> buckets_;
 };
 

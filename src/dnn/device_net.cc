@@ -1,6 +1,6 @@
 #include "dnn/device_net.hh"
 
-#include <map>
+#include <algorithm>
 
 #include "fixed/fixed.hh"
 #include "util/logging.hh"
@@ -12,10 +12,20 @@ namespace
 {
 
 using fixed::Q78;
+using Array = LoweredNetwork::Array;
+using Kind = LoweredNetwork::Layer::Kind;
 
-DevSparseVec
-makeSparseVec(arch::Device &dev, const std::vector<f64> &v,
-              const std::string &name)
+/** Append an array of max(1, n) elements holding src. */
+void
+addArray(std::vector<Array> &out, std::string name, std::vector<i16> src)
+{
+    const u64 size = std::max<u64>(1, src.size());
+    out.push_back({std::move(name), size, std::move(src)});
+}
+
+void
+lowerSparseVec(std::vector<Array> &out, const std::vector<f64> &v,
+               const std::string &name)
 {
     std::vector<i16> idx;
     std::vector<i16> val;
@@ -25,40 +35,24 @@ makeSparseVec(arch::Device &dev, const std::vector<f64> &v,
             val.push_back(Q78::fromFloat(v[i]).raw());
         }
     }
-    DevSparseVec out;
-    out.nnz = static_cast<u32>(idx.size());
-    out.idx = std::make_unique<arch::NvArray<i16>>(
-        dev, std::max<u64>(1, idx.size()), name + ".idx");
-    out.val = std::make_unique<arch::NvArray<i16>>(
-        dev, std::max<u64>(1, val.size()), name + ".val");
-    for (u32 i = 0; i < idx.size(); ++i) {
-        out.idx->poke(i, idx[i]);
-        out.val->poke(i, val[i]);
-    }
-    return out;
+    addArray(out, name + ".idx", std::move(idx));
+    addArray(out, name + ".val", std::move(val));
 }
 
-DevFactoredConv
-lowerFactored(arch::Device &dev, const FactoredConvLayer &f,
+void
+lowerFactored(std::vector<Array> &out, const FactoredConvLayer &f,
               const std::string &name)
 {
-    DevFactoredConv out;
-    out.mix = makeSparseVec(dev, f.mix, name + ".mix");
-    out.col = makeSparseVec(dev, f.col, name + ".col");
-    out.row = makeSparseVec(dev, f.row, name + ".row");
-    out.scale = makeSparseVec(dev, f.scale, name + ".scale");
-    return out;
+    lowerSparseVec(out, f.mix, name + ".mix");
+    lowerSparseVec(out, f.col, name + ".col");
+    lowerSparseVec(out, f.row, name + ".row");
+    lowerSparseVec(out, f.scale, name + ".scale");
 }
 
-DevSparseConv
-lowerSparseConv(arch::Device &dev, const SparseConvLayer &s,
+void
+lowerSparseConv(std::vector<Array> &out, const tensor::FilterBank &bank,
                 const ActShape &in, const std::string &name)
 {
-    const auto &bank = s.filters;
-    DevSparseConv out;
-    out.kh = bank.kh;
-    out.kw = bank.kw;
-
     std::vector<i16> oc_ptr(bank.outChannels + 1, 0);
     std::vector<i16> ic, ky, kx, w, off;
     const u32 in_plane = in.h * in.w;
@@ -82,50 +76,31 @@ lowerSparseConv(arch::Device &dev, const SparseConvLayer &s,
         SONIC_ASSERT(w.size() <= 0x7fff);
         oc_ptr[oc + 1] = static_cast<i16>(w.size());
     }
-    out.nnz = static_cast<u32>(w.size());
-
-    out.ocPtr = std::make_unique<arch::NvArray<i16>>(
-        dev, oc_ptr.size(), name + ".ocPtr");
-    for (u32 i = 0; i < oc_ptr.size(); ++i)
-        out.ocPtr->poke(i, oc_ptr[i]);
-    auto fill = [&](std::unique_ptr<arch::NvArray<i16>> &arr,
-                    const std::vector<i16> &src, const char *suffix) {
-        arr = std::make_unique<arch::NvArray<i16>>(
-            dev, std::max<u64>(1, src.size()), name + suffix);
-        for (u32 i = 0; i < src.size(); ++i)
-            arr->poke(i, src[i]);
-    };
-    fill(out.tapIc, ic, ".ic");
-    fill(out.tapKy, ky, ".ky");
-    fill(out.tapKx, kx, ".kx");
-    fill(out.tapW, w, ".w");
-    fill(out.tapOff, off, ".off");
-    return out;
+    addArray(out, name + ".ocPtr", std::move(oc_ptr));
+    addArray(out, name + ".ic", std::move(ic));
+    addArray(out, name + ".ky", std::move(ky));
+    addArray(out, name + ".kx", std::move(kx));
+    addArray(out, name + ".w", std::move(w));
+    addArray(out, name + ".off", std::move(off));
 }
 
-DevDenseFc
-lowerDenseFc(arch::Device &dev, const tensor::Matrix &m,
+void
+lowerDenseFc(std::vector<Array> &out, const tensor::Matrix &m,
              const std::string &name)
 {
-    DevDenseFc out;
-    out.m = m.rows();
-    out.n = m.cols();
-    out.w = std::make_unique<arch::NvArray<i16>>(
-        dev, u64{out.m} * out.n, name + ".w");
-    for (u32 r = 0; r < out.m; ++r)
-        for (u32 c = 0; c < out.n; ++c)
-            out.w->poke(u64{r} * out.n + c,
-                        Q78::fromFloat(m.at(r, c)).raw());
-    return out;
+    std::vector<i16> w;
+    w.reserve(u64{m.rows()} * m.cols());
+    for (u32 r = 0; r < m.rows(); ++r)
+        for (u32 c = 0; c < m.cols(); ++c)
+            w.push_back(Q78::fromFloat(m.at(r, c)).raw());
+    // Exactly m * n elements, even when that is 0.
+    out.push_back({name + ".w", w.size(), std::move(w)});
 }
 
-DevSparseFc
-lowerSparseFc(arch::Device &dev, const tensor::Matrix &m,
+void
+lowerSparseFc(std::vector<Array> &out, const tensor::Matrix &m,
               const std::string &name)
 {
-    DevSparseFc out;
-    out.m = m.rows();
-    out.n = m.cols();
     std::vector<i16> col_ptr(m.cols() + 1, 0);
     std::vector<i16> row_idx, val;
     for (u32 c = 0; c < m.cols(); ++c) {
@@ -138,89 +113,176 @@ lowerSparseFc(arch::Device &dev, const tensor::Matrix &m,
         SONIC_ASSERT(val.size() <= 0x7fff);
         col_ptr[c + 1] = static_cast<i16>(val.size());
     }
-    out.nnz = static_cast<u32>(val.size());
-    out.colPtr = std::make_unique<arch::NvArray<i16>>(
-        dev, col_ptr.size(), name + ".colPtr");
-    for (u32 i = 0; i < col_ptr.size(); ++i)
-        out.colPtr->poke(i, col_ptr[i]);
-    out.rowIdx = std::make_unique<arch::NvArray<i16>>(
-        dev, std::max<u64>(1, row_idx.size()), name + ".rowIdx");
-    out.val = std::make_unique<arch::NvArray<i16>>(
-        dev, std::max<u64>(1, val.size()), name + ".val");
-    for (u32 i = 0; i < row_idx.size(); ++i) {
-        out.rowIdx->poke(i, row_idx[i]);
-        out.val->poke(i, val[i]);
-    }
-    return out;
+    addArray(out, name + ".colPtr", std::move(col_ptr));
+    addArray(out, name + ".rowIdx", std::move(row_idx));
+    addArray(out, name + ".val", std::move(val));
 }
 
 } // namespace
 
-DeviceNetwork::DeviceNetwork(arch::Device &dev, const NetworkSpec &spec)
-    : dev_(dev), spec_(spec)
+std::shared_ptr<const LoweredNetwork>
+lowerNetwork(const NetworkSpec &spec)
 {
-    const u64 map_elems = spec_.maxActivationElems();
-    const u64 slice_elems = spec_.maxScratchElems();
-    acts_[0] = std::make_unique<arch::NvArray<i16>>(dev, map_elems,
-                                                    "act.ping");
-    acts_[1] = std::make_unique<arch::NvArray<i16>>(dev, map_elems,
-                                                    "act.pong");
-    for (u32 s = 0; s < 3; ++s)
-        scratch_[s] = std::make_unique<arch::NvArray<i16>>(
-            dev, slice_elems, "scratch" + std::to_string(s));
+    auto image = std::make_shared<LoweredNetwork>();
+    image->input = spec.input;
+    image->numClasses = spec.numClasses;
+    image->mapElems = spec.maxActivationElems();
+    image->sliceElems = spec.maxScratchElems();
 
-    std::map<std::string, u16> stat_ids;
-    ActShape shape = spec_.input;
-    for (u32 li = 0; li < spec_.layers.size(); ++li) {
-        const auto &layer = spec_.layers[li];
-        DevLayer dl;
-        dl.name = layer.name;
-        auto it = stat_ids.find(layer.name);
-        if (it == stat_ids.end()) {
-            dl.statLayer = dev.registerLayer(layer.name);
-            stat_ids.emplace(layer.name, dl.statLayer);
-        } else {
-            dl.statLayer = it->second;
+    auto &arrays = image->arrays;
+    ActShape shape = spec.input;
+    for (u32 li = 0; li < spec.layers.size(); ++li) {
+        const auto &layer = spec.layers[li];
+        LoweredNetwork::Layer ll;
+        ll.name = layer.name;
+        ll.statOwner = li;
+        for (u32 prev = 0; prev < li; ++prev) {
+            if (image->layers[prev].name == layer.name) {
+                ll.statOwner = prev;
+                break;
+            }
         }
-        dl.reluAfter = layer.reluAfter;
-        dl.poolAfter = layer.poolAfter;
-        dl.in = shape;
-        dl.out = opOutputShape(layer.op, shape);
+        ll.reluAfter = layer.reluAfter;
+        ll.poolAfter = layer.poolAfter;
+        ll.in = shape;
+        ll.out = opOutputShape(layer.op, shape);
 
-        const std::string base = spec_.name + "." + layer.name + "."
+        const std::string base = spec.name + "." + layer.name + "."
                                + std::to_string(li);
         if (const auto *f = std::get_if<FactoredConvLayer>(&layer.op)) {
-            dl.op = lowerFactored(dev, *f, base);
+            ll.kind = Kind::Factored;
+            lowerFactored(arrays, *f, base);
         } else if (const auto *s = std::get_if<SparseConvLayer>(&layer.op)) {
-            dl.op = lowerSparseConv(dev, *s, dl.in, base);
+            ll.kind = Kind::SparseConv;
+            ll.kh = s->filters.kh;
+            ll.kw = s->filters.kw;
+            lowerSparseConv(arrays, s->filters, ll.in, base);
         } else if (const auto *d = std::get_if<DenseConvLayer>(&layer.op)) {
             // Uncompressed convs are lowered as sparse convs with all
             // taps present (they rarely fit on-device anyway).
-            SparseConvLayer as_sparse{d->filters};
-            dl.op = lowerSparseConv(dev, as_sparse, dl.in, base);
+            ll.kind = Kind::SparseConv;
+            ll.kh = d->filters.kh;
+            ll.kw = d->filters.kw;
+            lowerSparseConv(arrays, d->filters, ll.in, base);
         } else if (const auto *fc = std::get_if<DenseFcLayer>(&layer.op)) {
-            dl.op = lowerDenseFc(dev, fc->weights, base);
+            ll.kind = Kind::DenseFc;
+            ll.m = fc->weights.rows();
+            ll.n = fc->weights.cols();
+            lowerDenseFc(arrays, fc->weights, base);
         } else if (const auto *sfc = std::get_if<SparseFcLayer>(&layer.op)) {
-            dl.op = lowerSparseFc(dev, sfc->weights, base);
+            ll.kind = Kind::SparseFc;
+            ll.m = sfc->weights.rows();
+            ll.n = sfc->weights.cols();
+            lowerSparseFc(arrays, sfc->weights, base);
         }
-        layers_.push_back(std::move(dl));
+        image->layers.push_back(std::move(ll));
 
-        shape = dl.out;
+        shape = image->layers.back().out;
         if (layer.poolAfter) {
             shape.h /= 2;
             shape.w /= 2;
         }
     }
+    return image;
+}
+
+DeviceNetwork::DeviceNetwork(arch::Device &dev,
+                             std::shared_ptr<const LoweredNetwork> image)
+    : dev_(dev), image_(std::move(image))
+{
+    acts_[0] = std::make_unique<arch::NvArray<i16>>(
+        dev, image_->mapElems, "act.ping");
+    acts_[1] = std::make_unique<arch::NvArray<i16>>(
+        dev, image_->mapElems, "act.pong");
+    for (u32 s = 0; s < 3; ++s)
+        scratch_[s] = std::make_unique<arch::NvArray<i16>>(
+            dev, image_->sliceElems, "scratch" + std::to_string(s));
+
+    // Allocate the image's arrays in its order (the FRAM layout the
+    // NVM digest walks) and copy each one's contents in bulk; nnz, if
+    // asked for, receives the array's stored element count.
+    const Array *next = image_->arrays.data();
+    const Array *const end = next + image_->arrays.size();
+    const auto flash = [&](u32 *nnz = nullptr) {
+        SONIC_ASSERT(next != end, "lowered image is short of arrays");
+        const Array &a = *next++;
+        auto arr = std::make_unique<arch::NvArray<i16>>(dev, a.size,
+                                                        a.name);
+        arr->pokeRange(0, a.data.size(), a.data.data());
+        if (nnz != nullptr)
+            *nnz = static_cast<u32>(a.data.size());
+        return arr;
+    };
+    const auto sparse_vec = [&] {
+        DevSparseVec v;
+        v.idx = flash(&v.nnz);
+        v.val = flash();
+        return v;
+    };
+
+    layers_.reserve(image_->layers.size());
+    for (u32 li = 0; li < image_->layers.size(); ++li) {
+        const auto &ll = image_->layers[li];
+        DevLayer dl;
+        dl.name = ll.name;
+        dl.statLayer = ll.statOwner == li
+            ? dev.registerLayer(ll.name)
+            : layers_[ll.statOwner].statLayer;
+        dl.reluAfter = ll.reluAfter;
+        dl.poolAfter = ll.poolAfter;
+        dl.in = ll.in;
+        dl.out = ll.out;
+        if (ll.kind == Kind::Factored) {
+            DevFactoredConv f;
+            f.mix = sparse_vec();
+            f.col = sparse_vec();
+            f.row = sparse_vec();
+            f.scale = sparse_vec();
+            dl.op = std::move(f);
+        } else if (ll.kind == Kind::SparseConv) {
+            DevSparseConv c;
+            c.kh = ll.kh;
+            c.kw = ll.kw;
+            c.ocPtr = flash();
+            c.tapIc = flash();
+            c.tapKy = flash();
+            c.tapKx = flash();
+            c.tapW = flash(&c.nnz);
+            c.tapOff = flash();
+            dl.op = std::move(c);
+        } else if (ll.kind == Kind::DenseFc) {
+            DevDenseFc fc;
+            fc.m = ll.m;
+            fc.n = ll.n;
+            fc.w = flash();
+            dl.op = std::move(fc);
+        } else {
+            SONIC_ASSERT(ll.kind == Kind::SparseFc);
+            DevSparseFc fc;
+            fc.m = ll.m;
+            fc.n = ll.n;
+            fc.colPtr = flash();
+            fc.rowIdx = flash(&fc.nnz);
+            fc.val = flash();
+            dl.op = std::move(fc);
+        }
+        layers_.push_back(std::move(dl));
+    }
+    SONIC_ASSERT(next == end, "lowered image has extra arrays");
+}
+
+DeviceNetwork::DeviceNetwork(arch::Device &dev, const NetworkSpec &spec)
+    : DeviceNetwork(dev, lowerNetwork(spec))
+{
 }
 
 void
 DeviceNetwork::loadInput(const std::vector<i16> &input_q78)
 {
-    SONIC_ASSERT(input_q78.size() == spec_.input.elems(),
+    SONIC_ASSERT(input_q78.size() == image_->input.elems(),
                  "input size mismatch");
-    const u32 buf = inputBufferOf(0);
-    for (u32 i = 0; i < input_q78.size(); ++i)
-        acts_[buf]->poke(i, input_q78[i]);
+    acts_[inputBufferOf(0)]->pokeRange(0, input_q78.size(),
+                                       input_q78.data());
 }
 
 u32
@@ -248,7 +310,7 @@ DeviceNetwork::peekLogits() const
 {
     const u32 last = static_cast<u32>(layers_.size()) - 1;
     const u32 buf = outputBufferOf(last);
-    std::vector<i16> logits(spec_.numClasses);
+    std::vector<i16> logits(image_->numClasses);
     for (u32 i = 0; i < logits.size(); ++i)
         logits[i] = acts_[buf]->peek(i);
     return logits;

@@ -6,14 +6,17 @@
  * two map-sized ping-pong buffers and three single-channel scratch
  * slices (the loop-ordered double buffers).
  *
- * Building a DeviceNetwork is "flashing": weights are poked (uncharged)
- * into FRAM; all runtime access by kernels is charged.
+ * Building a DeviceNetwork is "flashing": a spec is lowered once into an
+ * immutable image of quantized weight arrays (LoweredNetwork), which
+ * is then copied (uncharged) into each device's FRAM; all runtime
+ * access by kernels is charged.
  */
 
 #ifndef SONIC_DNN_DEVICE_NET_HH
 #define SONIC_DNN_DEVICE_NET_HH
 
 #include <memory>
+#include <string>
 #include <variant>
 #include <vector>
 
@@ -93,6 +96,55 @@ struct DevLayer
 };
 
 /**
+ * A spec's device image: the name and quantized contents of every FRAM
+ * weight array a DeviceNetwork allocates, in allocation order, plus
+ * each layer's shapes. Lowering walks the float weights once; the
+ * image is immutable afterwards, so one image is shared by every
+ * Device that runs the network (the zoo holds one per model, read by
+ * engine and fleet workers at once).
+ */
+struct LoweredNetwork
+{
+    /** One weight array: its handle name and flashed contents. */
+    struct Array
+    {
+        std::string name;
+        u64 size = 0;          ///< elements allocated (>= data.size())
+        std::vector<i16> data; ///< the leading elements (nnz for lists)
+    };
+
+    /** One layer: a DevLayer without its arrays. */
+    struct Layer
+    {
+        std::string name;
+        /** Index of the first layer with this name: layers that
+         * share a name share one stats attribution bucket. */
+        u32 statOwner = 0;
+        /** Which DevLayerOp the layer flashes into. */
+        enum class Kind : u8 { Factored, SparseConv, DenseFc, SparseFc };
+        Kind kind = Kind::Factored;
+        bool reluAfter = false;
+        bool poolAfter = false;
+        ActShape in;
+        ActShape out;
+        u32 kh = 0; ///< sparse conv kernel
+        u32 kw = 0;
+        u32 m = 0;  ///< FC rows x cols
+        u32 n = 0;
+    };
+
+    ActShape input;
+    u32 numClasses = 0;
+    u64 mapElems = 0;   ///< ping-pong activation buffer size
+    u64 sliceElems = 0; ///< scratch slice size
+    std::vector<Layer> layers;
+    std::vector<Array> arrays; ///< every layer's, in allocation order
+};
+
+/** Quantize and lay out a spec's weights (see LoweredNetwork). */
+std::shared_ptr<const LoweredNetwork> lowerNetwork(const NetworkSpec &spec);
+
+/**
  * A network flashed onto a device. Owns weight arrays, activation
  * ping-pong buffers and scratch slices. Kernels (Base / Tiled / SONIC /
  * TAILS) operate on this structure.
@@ -100,10 +152,15 @@ struct DevLayer
 class DeviceNetwork
 {
   public:
+    /** Flash a lowered image: allocate every array in the image's
+     * order and bulk-copy its contents. */
+    DeviceNetwork(arch::Device &dev,
+                  std::shared_ptr<const LoweredNetwork> image);
+
+    /** Lower spec (lowerNetwork) and flash it. */
     DeviceNetwork(arch::Device &dev, const NetworkSpec &spec);
 
     arch::Device &dev() { return dev_; }
-    const NetworkSpec &spec() const { return spec_; }
 
     std::vector<DevLayer> &layers() { return layers_; }
     const std::vector<DevLayer> &layers() const { return layers_; }
@@ -114,7 +171,7 @@ class DeviceNetwork
     /** Single-channel scratch slices (loop-ordered double buffers). */
     arch::NvArray<i16> &scratch(u32 which) { return *scratch_[which]; }
 
-    u32 numClasses() const { return spec_.numClasses; }
+    u32 numClasses() const { return image_->numClasses; }
 
     /**
      * Flash an input activation (uncharged: sensing/DMA-from-sensor is
@@ -134,7 +191,7 @@ class DeviceNetwork
 
   private:
     arch::Device &dev_;
-    NetworkSpec spec_;
+    std::shared_ptr<const LoweredNetwork> image_;
     std::vector<DevLayer> layers_;
     std::unique_ptr<arch::NvArray<i16>> acts_[2];
     std::unique_ptr<arch::NvArray<i16>> scratch_[3];

@@ -3,6 +3,7 @@
 #include <utility>
 
 #include "dnn/builder.hh"
+#include "dnn/device_net.hh"
 #include "util/logging.hh"
 // The verify subsystem's platform-stable integer-dyadic workload
 // pre-registers here so the oracle CLI and the golden harness can
@@ -56,6 +57,14 @@ ModelEntry::dataset() const
                      "model '", name_, "' built an empty dataset");
     });
     return dataset_;
+}
+
+const std::shared_ptr<const LoweredNetwork> &
+ModelEntry::lowered() const
+{
+    std::call_once(loweredOnce_,
+                   [this] { lowered_ = lowerNetwork(compressed_); });
+    return lowered_;
 }
 
 // --- ModelZoo -------------------------------------------------------

@@ -45,6 +45,8 @@ namespace sonic::dnn
  */
 using NetRef = std::string;
 
+struct LoweredNetwork; // dnn/device_net.hh
+
 /** The paper's three evaluation workloads (the Fig. 9 sweep axis). */
 inline const NetRef kPaperNets[] = {"MNIST", "HAR", "OkG"};
 
@@ -136,6 +138,10 @@ class ModelEntry
     /** The on-device configuration. */
     const NetworkSpec &compressed() const { return compressed_; }
 
+    /** compressed() lowered to its device image (lazily, once;
+     * thread-safe). Every DeviceNetwork of this model shares it. */
+    const std::shared_ptr<const LoweredNetwork> &lowered() const;
+
     /** The labelled synthetic dataset (lazily built, thread-safe). */
     const Dataset &dataset() const;
 
@@ -161,6 +167,9 @@ class ModelEntry
 
     mutable std::once_flag datasetOnce_;
     mutable Dataset dataset_;
+
+    mutable std::once_flag loweredOnce_;
+    mutable std::shared_ptr<const LoweredNetwork> lowered_;
 };
 
 /**

@@ -264,7 +264,7 @@ simulateDeviceImpl(const FleetPlan &plan, u32 device_index,
     t.assignment = plan.assignmentFor(device_index);
 
     const auto &entry = dnn::ModelZoo::instance().get(t.assignment.net);
-    const auto &net_spec = entry.compressed();
+    const auto &image = entry.lowered();
     const auto &data = entry.dataset();
     const auto &spec =
         pipeline::PipelineRegistry::instance().get(t.assignment.pipeline);
@@ -325,7 +325,7 @@ simulateDeviceImpl(const FleetPlan &plan, u32 device_index,
                 ctx.recorder->setBase(t.totalSeconds(), t.energyJ);
                 dev.setProbe(ctx.recorder);
             }
-            dnn::DeviceNetwork net(dev, net_spec);
+            dnn::DeviceNetwork net(dev, image);
             const auto round = pipeline::runRound(
                 net, t.assignment.impl,
                 dnn::DeviceNetwork::quantizeInput(
@@ -808,7 +808,7 @@ runFleet(const FleetPlan &plan, FleetOptions options,
     // immutable artifacts (same discipline as Engine::run).
     for (const auto &net : plan.nets) {
         const auto &entry = dnn::ModelZoo::instance().get(net);
-        entry.compressed();
+        entry.lowered();
         entry.dataset();
     }
 

@@ -23,13 +23,39 @@ setThreadCommitObserver(CommitObserver *observer)
     return previous;
 }
 
+namespace
+{
+
+/** Initial read-index slots: a Tile-128 task's log fits at half load. */
+constexpr u32 kLogIndexInitialLog2 = 9;
+
+} // namespace
+
+Runtime::LogIndex::LogIndex()
+    : slots_(u64{1} << kLogIndexInitialLog2, Slot{}),
+      shift_(64 - kLogIndexInitialLog2)
+{
+}
+
+void
+Runtime::LogIndex::grow()
+{
+    std::vector<Slot> old(slots_.size() * 2, Slot{});
+    old.swap(slots_);
+    --shift_;
+    // Stale stamps in the new table are all 0 < generation_ (>= 1).
+    for (const Slot &slot : old)
+        if (slot.stamp == generation_)
+            slots_[locate(slot.target, slot.idx, slot.kind)] = slot;
+}
+
 void
 Runtime::pushLog(const LogEntry &entry)
 {
     log_.push_back(entry);
     // Latest write to a location wins on reads, exactly as the old
     // reverse scan resolved it.
-    logIndex_[{entry.target, entry.idx, entry.kind}] = entry.value;
+    logIndex_.put(entry.target, entry.idx, entry.kind, entry.value);
 }
 
 void
@@ -56,9 +82,8 @@ Runtime::logRead(const arch::NvArray<i16> &arr, u32 idx)
     // below is the semantic lookup, not a charged one.
     dev_.consume(arch::Op::FramLoad);
     dev_.consume(arch::Op::RegOp, 6);
-    const auto it = logIndex_.find({&arr, idx, LogEntry::Arr16});
-    if (it != logIndex_.end())
-        return static_cast<i16>(it->second);
+    if (const i32 *v = logIndex_.find(&arr, idx, LogEntry::Arr16))
+        return static_cast<i16>(*v);
     return arr.peek(idx);
 }
 
@@ -74,9 +99,8 @@ Runtime::logRead(const arch::NvVar<i32> &var)
 {
     dev_.consume(arch::Op::FramLoad, 2);
     dev_.consume(arch::Op::RegOp, 6);
-    const auto it = logIndex_.find({&var, 0, LogEntry::Var32});
-    if (it != logIndex_.end())
-        return it->second;
+    if (const i32 *v = logIndex_.find(&var, 0, LogEntry::Var32))
+        return *v;
     return var.peek();
 }
 
@@ -92,9 +116,8 @@ Runtime::logRead(const arch::NvVar<i16> &var)
 {
     dev_.consume(arch::Op::FramLoad);
     dev_.consume(arch::Op::RegOp, 6);
-    const auto it = logIndex_.find({&var, 0, LogEntry::Var16});
-    if (it != logIndex_.end())
-        return static_cast<i16>(it->second);
+    if (const i32 *v = logIndex_.find(&var, 0, LogEntry::Var16))
+        return static_cast<i16>(*v);
     return var.peek();
 }
 

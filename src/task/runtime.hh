@@ -22,7 +22,6 @@
 
 #include <functional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "arch/device.hh"
@@ -126,6 +125,9 @@ class Runtime
 
     /** Number of uncommitted log entries (diagnostics/tests). */
     u64 logSize() const { return log_.size(); }
+
+    /** Slots in the host-side read index (diagnostics/tests). */
+    u64 logIndexCapacity() const { return logIndex_.capacity(); }
     /// @}
 
   private:
@@ -140,34 +142,101 @@ class Runtime
         i32 value;
     };
 
-    /** Host-side key of one logged location (kind, target, index). */
-    struct LogKey
+    /**
+     * Host-side read index over log_: a flat open-addressed table
+     * (linear probing) mapping each logged location (target, index,
+     * kind) to its latest uncommitted value, so logRead is O(1)
+     * instead of a reverse scan (Tile-128 carries hundred-entry logs
+     * and pays a logRead per task-shared load). Host bookkeeping only;
+     * the charged device costs in logRead/logWrite are unchanged.
+     *
+     * A slot is live only if its stamp equals the current generation,
+     * so clear() is one increment. The table doubles when half full
+     * and never shrinks, so once warm no insert allocates. The stamp
+     * is a u64 bumped once per clear: even at one clear per nanosecond
+     * it would take ~584 years to wrap, so a stale slot can never be
+     * mistaken for a live one.
+     */
+    class LogIndex
     {
-        const void *target;
-        u32 idx;
-        u8 kind;
+      public:
+        LogIndex();
 
-        bool
-        operator==(const LogKey &o) const
+        /** Record value as the latest write to (target, idx, kind). */
+        void
+        put(const void *target, u32 idx, u8 kind, i32 value)
         {
-            return target == o.target && idx == o.idx
-                && kind == o.kind;
+            if (2 * (live_ + 1) > slots_.size())
+                grow();
+            Slot &slot = slots_[locate(target, idx, kind)];
+            if (slot.stamp != generation_) {
+                slot = {target, generation_, idx, kind, value};
+                ++live_;
+            } else {
+                slot.value = value;
+            }
         }
-    };
 
-    struct LogKeyHash
-    {
-        std::size_t
-        operator()(const LogKey &k) const
+        /** The latest logged value of (target, idx, kind), if any. */
+        const i32 *
+        find(const void *target, u32 idx, u8 kind) const
         {
-            // Mix in u64 so the shift stays defined on 32-bit hosts.
+            const Slot &slot = slots_[locate(target, idx, kind)];
+            return slot.stamp == generation_ ? &slot.value : nullptr;
+        }
+
+        /** Forget every entry (one generation bump). */
+        void
+        clear()
+        {
+            ++generation_;
+            live_ = 0;
+        }
+
+        /** Slots allocated (diagnostics/tests). */
+        u64 capacity() const { return slots_.size(); }
+
+      private:
+        struct Slot
+        {
+            const void *target;
+            u64 stamp; ///< live iff == generation_
+            u32 idx;
+            u8 kind;
+            i32 value;
+        };
+
+        /**
+         * Position of the slot holding the key, or of the empty slot
+         * where it would go. Home is the *top* bits of a
+         * multiplicative hash: the key mixes idx << 8, so its low
+         * product bits are the same for every index of one array.
+         */
+        u64
+        locate(const void *target, u32 idx, u8 kind) const
+        {
             u64 h = static_cast<u64>(
-                reinterpret_cast<std::uintptr_t>(k.target));
-            h ^= (h >> 33) ^ (static_cast<u64>(k.idx) << 8)
-               ^ static_cast<u64>(k.kind);
-            return static_cast<std::size_t>(
-                h * 0x9e3779b97f4a7c15ull);
+                reinterpret_cast<std::uintptr_t>(target));
+            h ^= (h >> 33) ^ (static_cast<u64>(idx) << 8)
+               ^ static_cast<u64>(kind);
+            const u64 mask = slots_.size() - 1;
+            for (u64 pos = (h * 0x9e3779b97f4a7c15ull) >> shift_;;
+                 pos = (pos + 1) & mask) {
+                const Slot &slot = slots_[pos];
+                if (slot.stamp != generation_
+                    || (slot.target == target && slot.idx == idx
+                        && slot.kind == kind))
+                    return pos;
+            }
         }
+
+        /** Double the table and re-insert the live slots. */
+        void grow();
+
+        std::vector<Slot> slots_;
+        u64 generation_ = 1;
+        u64 live_ = 0;
+        u32 shift_ = 64; ///< 64 - log2(slots_.size())
     };
 
     static void applyEntry(const LogEntry &entry);
@@ -180,15 +249,7 @@ class Runtime
 
     arch::Device &dev_;
     std::vector<LogEntry> log_;
-
-    /**
-     * Read index over log_: maps each logged location to its latest
-     * uncommitted value, making logRead O(1) instead of a reverse
-     * scan (Tile-128 carries hundred-entry logs and pays a logRead
-     * per task-shared load). Host-side bookkeeping only; the charged
-     * device costs in logRead/logWrite are unchanged.
-     */
-    std::unordered_map<LogKey, i32, LogKeyHash> logIndex_;
+    LogIndex logIndex_;
 
     u64 lastProgress_ = ~u64{0};
     bool progressed_ = false;

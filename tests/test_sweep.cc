@@ -13,6 +13,8 @@
 #include <gtest/gtest.h>
 
 #include "app/engine.hh"
+#include "dnn/device_net.hh"
+#include "tests/test_helpers.hh"
 
 namespace sonic::app
 {
@@ -374,6 +376,193 @@ TEST(Engine, RunOneMatchesSweepRecord)
     ASSERT_EQ(records.size(), 1u);
     const auto direct = engine.runOne(records[0].spec);
     expectResultsEqual(records[0].result, direct, "runOne vs sweep");
+}
+
+/** Device-side bits of one hand-built run (see directRun). */
+struct DirectRun
+{
+    u64 buckets = testutil::kDigestBasis; ///< every bucket's bits
+    u64 nvmDigest = 0;                    ///< FRAM image at run end
+    kernels::RunResult run;
+};
+
+/** Fold a value's object bytes into a digest chain. */
+template <typename T>
+u64
+fold(const T &value, u64 h)
+{
+    return testutil::bitDigest(&value, sizeof value, h);
+}
+
+/** Digest of a run's logits, verdict, reboots, tasks and FRAM image. */
+u64
+outcomeDigest(const std::vector<i16> &logits, bool completed, u64 reboots,
+              u64 tasks, u64 nvm_digest)
+{
+    u64 h = testutil::bitDigest(logits.data(),
+                                logits.size() * sizeof(i16));
+    h = fold(completed, h);
+    h = fold(reboots, h);
+    h = fold(tasks, h);
+    return fold(nvm_digest, h);
+}
+
+/**
+ * Run a spec on a hand-built Device, the way Engine::runOne does, and
+ * digest every (layer, part) bucket's count/cycles/nanojoules bits.
+ */
+DirectRun
+directRun(const RunSpec &spec)
+{
+    arch::Device dev(makeProfile(spec.profile), makeSupply(spec));
+    const auto &entry = dnn::ModelZoo::instance().get(spec.net);
+    dnn::DeviceNetwork net(dev, entry.compressed());
+    const auto &sample =
+        entry.dataset()[spec.sampleIndex % entry.dataset().size()];
+    net.loadInput(dnn::DeviceNetwork::quantizeInput(sample.input));
+
+    DirectRun out;
+    out.run = kernels::runInference(net, spec.impl);
+    out.nvmDigest = dev.nvmDigest();
+    const auto &stats = dev.stats();
+    for (u16 l = 0; l < stats.numLayers(); ++l) {
+        for (u32 p = 0; p < arch::kNumParts; ++p) {
+            const auto &b = stats.bucket(l, static_cast<arch::Part>(p));
+            out.buckets = fold(b.count, out.buckets);
+            out.buckets = fold(b.cycles, out.buckets);
+            out.buckets = fold(b.nanojoules, out.buckets);
+        }
+    }
+    return out;
+}
+
+/**
+ * Pinned per-run device bits of the paper grid on sample 0: every
+ * (layer, part) attribution bucket, the logits, reboots, tasks and
+ * the final FRAM image, for MNIST/HAR/OkG x all six kernels on
+ * continuous power and on rf-paper@100uF (where Base and the large
+ * tilings do not finish). A misattributed bucket, a wrongly lowered
+ * weight or a redo-log read that resolves to the wrong entry moves a
+ * digest. Engine::runOne must reproduce the hand-built run; its FRAM
+ * digest is captured on continuous power only, where there are no
+ * per-reboot snapshots to pay for.
+ */
+TEST(EnginePinned, PerRunDeviceBits)
+{
+    struct Pin
+    {
+        const char *net;
+        const char *env;
+        kernels::Impl impl;
+        u64 buckets;
+        u64 outcome;
+    };
+    const Pin pins[] = {
+        {"MNIST", "continuous", kernels::Impl::Base,
+         0x16aab824f8642513ull, 0x743f377b885d1435ull},
+        {"MNIST", "continuous", kernels::Impl::Tile8,
+         0x83e8babef8ac2205ull, 0xde3b9bb753c97697ull},
+        {"MNIST", "continuous", kernels::Impl::Tile32,
+         0x04190f5008af5dbfull, 0x6799e32d82a8949full},
+        {"MNIST", "continuous", kernels::Impl::Tile128,
+         0x7517f3b540de0aa6ull, 0xe88c663389f20434ull},
+        {"MNIST", "continuous", kernels::Impl::Sonic,
+         0x0e1fc94438ac29aaull, 0x18e313a1ee9dfc46ull},
+        {"MNIST", "continuous", kernels::Impl::Tails,
+         0x6b85e05e2fa3af95ull, 0x440a355e501b7171ull},
+        {"MNIST", "rf-paper@100uF", kernels::Impl::Base,
+         0xad3f6cd4f6c5b138ull, 0xfc52eb3733d1cf1bull},
+        {"MNIST", "rf-paper@100uF", kernels::Impl::Tile8,
+         0xdf28b64e75b5ac39ull, 0x344e00478de2757dull},
+        {"MNIST", "rf-paper@100uF", kernels::Impl::Tile32,
+         0x272c91426052e7b6ull, 0x74b67f82f2856081ull},
+        {"MNIST", "rf-paper@100uF", kernels::Impl::Tile128,
+         0xc4dc58d23f8ca15aull, 0xe0d2cb04e6da0485ull},
+        {"MNIST", "rf-paper@100uF", kernels::Impl::Sonic,
+         0x58aceacbb3078ebeull, 0xee1a6970d3dd74c0ull},
+        {"MNIST", "rf-paper@100uF", kernels::Impl::Tails,
+         0xb56a09831c70717cull, 0x4e21b3b172fdfbdeull},
+        {"HAR", "continuous", kernels::Impl::Base,
+         0x43121d958934e9dbull, 0x1f8077acfc9c9074ull},
+        {"HAR", "continuous", kernels::Impl::Tile8,
+         0xa113bf6c74f0a7deull, 0x1ffa3390a807387aull},
+        {"HAR", "continuous", kernels::Impl::Tile32,
+         0x7b3a517c8d25691dull, 0xd938141b5791c95eull},
+        {"HAR", "continuous", kernels::Impl::Tile128,
+         0xac6c65d830298af8ull, 0xf596c780cdfe4833ull},
+        {"HAR", "continuous", kernels::Impl::Sonic,
+         0x6a270eeb774e4595ull, 0xd4848123a3a554d8ull},
+        {"HAR", "continuous", kernels::Impl::Tails,
+         0x4e15b56c48ebbc4dull, 0x43a686f7df6b84bbull},
+        {"HAR", "rf-paper@100uF", kernels::Impl::Base,
+         0xc3d1134783ecd59dull, 0x0a6b68121c103926ull},
+        {"HAR", "rf-paper@100uF", kernels::Impl::Tile8,
+         0x1df032a3bc97b929ull, 0xc5c2a5db5477c269ull},
+        {"HAR", "rf-paper@100uF", kernels::Impl::Tile32,
+         0x50bdad925e6bd74eull, 0xbc5642c52cba4382ull},
+        {"HAR", "rf-paper@100uF", kernels::Impl::Tile128,
+         0x53a842a8c076d4f9ull, 0x3647b6e58475b93eull},
+        {"HAR", "rf-paper@100uF", kernels::Impl::Sonic,
+         0xb353324e382ed5d0ull, 0xca3f69b17d001e40ull},
+        {"HAR", "rf-paper@100uF", kernels::Impl::Tails,
+         0xc41164c95fa68229ull, 0xcf35076e5dfdf6ceull},
+        {"OkG", "continuous", kernels::Impl::Base,
+         0xced3f9fcbde9fa7cull, 0x34ffafa98d87f7c5ull},
+        {"OkG", "continuous", kernels::Impl::Tile8,
+         0xf8e25220dae15c31ull, 0x30db5ec049391e47ull},
+        {"OkG", "continuous", kernels::Impl::Tile32,
+         0x809974e9ff871c2full, 0x2c4dac9368ad5c95ull},
+        {"OkG", "continuous", kernels::Impl::Tile128,
+         0xa764a70ae0bc4419ull, 0x21039c1b2d53fdfaull},
+        {"OkG", "continuous", kernels::Impl::Sonic,
+         0xd256b379d04a68e0ull, 0x6bfaa2650bc6721aull},
+        {"OkG", "continuous", kernels::Impl::Tails,
+         0x7683f58f8ee3804dull, 0xee81d41b32b8340dull},
+        {"OkG", "rf-paper@100uF", kernels::Impl::Base,
+         0xef237232e2d429e3ull, 0xc745672e4cb23153ull},
+        {"OkG", "rf-paper@100uF", kernels::Impl::Tile8,
+         0x37d288520953febfull, 0x53e9e38689d4546aull},
+        {"OkG", "rf-paper@100uF", kernels::Impl::Tile32,
+         0xf6b8e570451d8d7dull, 0x4c4c3de272fd93edull},
+        {"OkG", "rf-paper@100uF", kernels::Impl::Tile128,
+         0x9b5c17a2ba0010afull, 0xa8bae76f66c5f4f7ull},
+        {"OkG", "rf-paper@100uF", kernels::Impl::Sonic,
+         0x26a9105e82c3612aull, 0xeaa8a83a7c0b075aull},
+        {"OkG", "rf-paper@100uF", kernels::Impl::Tails,
+         0x1177450a96384092ull, 0x3676efed9061ebe7ull},
+    };
+    Engine engine;
+    for (const auto &pin : pins) {
+        RunSpec spec;
+        spec.net = pin.net;
+        spec.impl = pin.impl;
+        std::string error;
+        ASSERT_TRUE(env::parseEnvRef(pin.env, &spec.environment, &error))
+            << error;
+        const std::string what = std::string(pin.net) + "/"
+            + std::string(kernels::implName(pin.impl)) + "/" + pin.env;
+        const DirectRun direct = directRun(spec);
+        const auto &run = direct.run;
+        EXPECT_EQ(direct.buckets, pin.buckets)
+            << what << std::hex << " 0x" << direct.buckets;
+        const u64 outcome =
+            outcomeDigest(run.logits, run.completed, run.reboots,
+                          run.tasksExecuted, direct.nvmDigest);
+        EXPECT_EQ(outcome, pin.outcome)
+            << what << std::hex << " 0x" << outcome;
+
+        spec.captureNvmDigests = run.reboots == 0;
+        const auto result = engine.runOne(spec);
+        EXPECT_EQ(result.completed, run.completed) << what;
+        EXPECT_EQ(result.reboots, run.reboots) << what;
+        EXPECT_EQ(result.tasksExecuted, run.tasksExecuted) << what;
+        EXPECT_EQ(result.logits, run.completed ? run.logits
+                                               : std::vector<i16>{})
+            << what;
+        if (spec.captureNvmDigests) {
+            EXPECT_EQ(result.finalNvmDigest, direct.nvmDigest) << what;
+        }
+    }
 }
 
 } // namespace

@@ -6,10 +6,14 @@
  * via exhaustive fail-at-N sweeps.
  */
 
+#include <map>
+#include <utility>
+
 #include <gtest/gtest.h>
 
 #include "arch/memory.hh"
 #include "task/runtime.hh"
+#include "util/rng.hh"
 
 namespace sonic::task
 {
@@ -156,6 +160,214 @@ TEST(Runtime, LogIndexResolvesLargeLogsLatestWins)
     EXPECT_EQ(entries, 3u * 128u + 2u); // entries, not locations
     EXPECT_EQ(arr.peek(2), 2002);       // committed latest value
     EXPECT_EQ(big.peek(), 42);
+}
+
+/**
+ * Model check of the redo log's read index: a seeded program of
+ * thousands of tasks makes random logWrite/logRead sequences over
+ * three NvArray<i16>s (dense, strided and random indices) and four
+ * NvVar<i32/i16>s, and every logRead is checked against a std::map of
+ * the attempt's own writes over a model of the committed home values.
+ * Power fails at random draws, so tasks are cut short mid-body and
+ * mid-commit (before the commit flag, where the task re-runs, and
+ * after it, where the commit is replayed). Every ~40th task writes
+ * over a thousand distinct locations and reads them back, so the
+ * index grows far past its initial size with reads that span each
+ * growth, and every clear reuses slots of stale generations.
+ * The stamps are u64 and never wrap (see Runtime::LogIndex), so there
+ * is no wrap path to test.
+ */
+TEST(Runtime, LogReadsMatchMapModelUnderRandomFailures)
+{
+    constexpr u64 kSeed = 0x10ca11;
+    constexpr i32 kTasks = 4000;
+    Rng failures(kSeed);
+    std::vector<u64> schedule;
+    for (u64 draw = 0; schedule.size() < 6000;) {
+        // Mostly short gaps (tasks die often), sometimes long ones (so
+        // the long tasks eventually get through).
+        draw += 1 + (failures.below(10) == 0 ? failures.below(16000)
+                                              : failures.below(150));
+        schedule.push_back(draw);
+    }
+    Device dev(EnergyProfile::msp430fr5994(),
+               std::make_unique<arch::SchedulePower>(schedule));
+
+    NvArray<i16> dense(dev, 4096, "dense");
+    NvArray<i16> mid(dev, 1024, "mid");
+    NvArray<i16> tiny(dev, 37, "tiny");
+    NvVar<i32> var32a(dev, "var32a", 11);
+    NvVar<i32> var32b(dev, "var32b", -5);
+    NvVar<i16> var16a(dev, "var16a", 3);
+    NvVar<i16> var16b(dev, "var16b", -9);
+    NvVar<i32> seq(dev, "seq", 0);
+    NvArray<i16> *const arrays[] = {&dense, &mid, &tiny};
+
+    // The reference: committed home values, and the current attempt's
+    // own writes keyed by (object, index). Objects 0-2 are the arrays,
+    // 3-4 the i32 vars, 5-6 the i16 vars.
+    using Key = std::pair<u32, u32>;
+    std::vector<std::vector<i32>> home(7);
+    Rng init(kSeed ^ 0xfeed);
+    for (u32 a = 0; a < 3; ++a) {
+        for (u32 i = 0; i < arrays[a]->size(); ++i) {
+            const auto v = static_cast<i16>(init.between(-30000, 30000));
+            arrays[a]->poke(i, v);
+            home[a].push_back(v);
+        }
+    }
+    home[3] = {var32a.peek()};
+    home[4] = {var32b.peek()};
+    home[5] = {var16a.peek()};
+    home[6] = {var16b.peek()};
+    std::map<Key, i32> pending;
+    std::map<Key, i32> lastReturned;
+
+    i32 model_seq = 0;
+    bool returned = false;
+    u64 reboots_at_return = 0;
+    // Failures cut short: a task body, a commit (body returned, no
+    // transition yet), and of those the ones after the commit flag was
+    // raised (replayed at boot) or after it completed.
+    u64 mid_task = 0, mid_commit = 0, sealed_then_cut = 0;
+    u64 reads = 0, mismatches = 0, initial_capacity = 0;
+
+    Program prog;
+    TaskId self = 0;
+    self = prog.addTask("random", [&](Runtime &rt) -> TaskId {
+        if (initial_capacity == 0)
+            initial_capacity = rt.logIndexCapacity();
+        // Uncharged, so the bookkeeping below runs before any draw can
+        // cut this attempt short (the log is empty: home is current).
+        const i32 s = seq.peek();
+        const bool commit_cut =
+            returned && dev.rebootCount() > reboots_at_return;
+        if (s != model_seq) {
+            // The last attempt that returned has committed.
+            EXPECT_EQ(s, model_seq + 1);
+            for (const auto &[key, value] : lastReturned)
+                home[key.first][key.second] = value;
+            model_seq = s;
+            sealed_then_cut += commit_cut ? 1 : 0;
+        } else if (!returned && dev.rebootCount() > 0) {
+            ++mid_task;
+        }
+        mid_commit += commit_cut ? 1 : 0;
+        returned = false;
+        pending.clear();
+
+        const auto expect = [&](u32 obj, u32 idx) {
+            const auto it = pending.find({obj, idx});
+            return it != pending.end() ? it->second : home[obj][idx];
+        };
+        const auto read = [&](u32 obj, u32 idx) {
+            i32 got = 0;
+            switch (obj) {
+              case 0: case 1: case 2:
+                got = rt.logRead(*arrays[obj], idx); break;
+              case 3: got = rt.logRead(var32a); break;
+              case 4: got = rt.logRead(var32b); break;
+              case 5: got = rt.logRead(var16a); break;
+              default: got = rt.logRead(var16b); break;
+            }
+            ++reads;
+            mismatches += got != expect(obj, idx) ? 1 : 0;
+            return got;
+        };
+        const auto write = [&](u32 obj, u32 idx, i32 value) {
+            switch (obj) {
+              case 0: case 1: case 2:
+                value = static_cast<i16>(value);
+                rt.logWrite(*arrays[obj], idx, static_cast<i16>(value));
+                break;
+              case 3: rt.logWrite(var32a, value); break;
+              case 4: rt.logWrite(var32b, value); break;
+              case 5:
+                value = static_cast<i16>(value);
+                rt.logWrite(var16a, static_cast<i16>(value));
+                break;
+              default:
+                value = static_cast<i16>(value);
+                rt.logWrite(var16b, static_cast<i16>(value));
+                break;
+            }
+            pending[{obj, idx}] = value;
+        };
+
+        // Every attempt of task s makes the same accesses.
+        Rng rng(kSeed + static_cast<u64>(s));
+        const bool long_task = rng.below(40) == 0;
+        const u32 obj = static_cast<u32>(rng.below(3));
+        const u32 size = static_cast<u32>(arrays[obj]->size());
+        const u32 ops = long_task ? 2000 + static_cast<u32>(rng.below(2000))
+                                  : 1 + static_cast<u32>(rng.below(40));
+        const u32 stride = 1 + static_cast<u32>(rng.below(7));
+        const u32 base = static_cast<u32>(rng.below(size));
+        for (u32 k = 0; k < ops; ++k) {
+            // A long task hits random indices all over the dense array
+            // (so reads after a growth revisit entries logged before
+            // it); short tasks pick a dense, strided or random index,
+            // or a scalar.
+            u32 o = obj;
+            u32 idx = 0;
+            if (long_task) {
+                o = 0;
+                idx = static_cast<u32>(rng.below(4096));
+            } else {
+                switch (rng.below(4)) {
+                  case 0: idx = (base + k) % size; break;
+                  case 1: idx = (base + k * stride) % size; break;
+                  case 2: idx = static_cast<u32>(rng.below(size)); break;
+                  default: o = 3 + static_cast<u32>(rng.below(4)); break;
+                }
+            }
+            const u64 action = rng.below(3);
+            if (action == 0) {
+                read(o, idx);
+            } else {
+                // Values depend on what the task reads, so a wrong
+                // read also corrupts the committed state.
+                const i32 v = action == 1 ? read(o, idx) + 1
+                                          : rng.between(-30000, 30000);
+                write(o, idx, v);
+                if (rng.below(4) == 0)
+                    write(o, idx, v ^ 0x55); // latest write wins
+            }
+        }
+        rt.logWrite(seq, s + 1);
+        lastReturned = pending;
+        returned = true;
+        reboots_at_return = dev.rebootCount();
+        return s + 1 < kTasks ? self : kDone;
+    });
+
+    SchedulerConfig config;
+    // Long tasks can die many times in a row; the schedule is finite,
+    // so the run always ends.
+    config.maxFailuresWithoutProgress = 1u << 20;
+    Scheduler sched(dev, prog, config);
+    const auto res = sched.run(self);
+    ASSERT_TRUE(res.completed);
+    EXPECT_EQ(seq.peek(), kTasks);
+    EXPECT_EQ(mismatches, 0u) << "of " << reads << " reads";
+    EXPECT_GT(reads, 100000u);
+    EXPECT_GT(mid_task, 500u);
+    EXPECT_GT(mid_commit, 60u);
+    EXPECT_GT(sealed_then_cut, 20u);
+    EXPECT_GT(mid_commit - sealed_then_cut, 5u); // before the flag
+    EXPECT_GE(sched.runtime().logIndexCapacity(), 8 * initial_capacity);
+
+    // The final commit is folded in, then FRAM must equal the model.
+    for (const auto &[key, value] : lastReturned)
+        home[key.first][key.second] = value;
+    for (u32 a = 0; a < 3; ++a)
+        for (u32 i = 0; i < arrays[a]->size(); ++i)
+            ASSERT_EQ(arrays[a]->peek(i), home[a][i])
+                << "array " << a << " index " << i;
+    EXPECT_EQ(var32a.peek(), home[3][0]);
+    EXPECT_EQ(var32b.peek(), home[4][0]);
+    EXPECT_EQ(var16a.peek(), home[5][0]);
+    EXPECT_EQ(var16b.peek(), home[6][0]);
 }
 
 TEST(Runtime, LastLoggedWriteWins)
