@@ -1,10 +1,9 @@
 #include "app/engine.hh"
 
 #include <atomic>
-#include <condition_variable>
+#include <optional>
 #include <ostream>
 #include <sstream>
-#include <thread>
 
 #include "arch/memory.hh"
 #include "dnn/device_net.hh"
@@ -12,6 +11,7 @@
 #include "util/progress.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/table.hh"
 
 namespace sonic::app
@@ -161,10 +161,8 @@ Engine::~Engine() = default;
 u32
 Engine::threadCount() const
 {
-    if (options_.threads > 0)
-        return options_.threads;
-    const u32 hw = std::thread::hardware_concurrency();
-    return hw > 0 ? hw : 1;
+    return options_.threads > 0 ? options_.threads
+                                : util::hardwareWorkers();
 }
 
 const dnn::ModelEntry &
@@ -274,9 +272,9 @@ Engine::run(const SweepPlan &plan,
     const auto specs = plan.expand();
     const u64 total = specs.size();
 
-    // Warm the zoo cache up front, single-threaded, so workers only
-    // ever read immutable artifacts (and so cache construction order —
-    // hence content — is independent of the thread count).
+    // Warm the zoo cache before the fan-out, so workers only ever read
+    // immutable artifacts (and so cache construction order — hence
+    // content — is independent of the thread count).
     for (const auto &net : plan.netAxis()) {
         model(net).lowered();
         dataset(net);
@@ -292,60 +290,28 @@ Engine::run(const SweepPlan &plan,
     for (auto *sink : allSinks)
         sink->begin(total);
 
-    const u32 workers = static_cast<u32>(
-        std::min<u64>(threadCount(), total ? total : 1));
-
     std::atomic<u64> specs_done{0};
     util::ProgressMeter progress("sweep", "coordinates", total,
                                  &specs_done, options_.progress);
 
-    if (workers <= 1) {
-        for (u64 i = 0; i < total; ++i) {
+    // Runs finish in any order; emit hands them to the sinks in plan
+    // order so every sink sees a deterministic stream.
+    std::vector<std::optional<SweepRecord>> done(total);
+    util::parallelFor(
+        total, threadCount(),
+        [&](u64 i, u32) {
             SweepRecord record;
             record.planIndex = static_cast<u32>(i);
             record.spec = specs[i];
             record.result = runOne(specs[i]);
+            done[i] = std::move(record);
             specs_done.fetch_add(1, std::memory_order_relaxed);
+        },
+        [&](u64 i) {
             for (auto *sink : allSinks)
-                sink->add(record);
-        }
-    } else {
-        std::vector<std::unique_ptr<SweepRecord>> done(total);
-        std::atomic<u64> next{0};
-        std::mutex emitMutex;
-        u64 emitted = 0;
-
-        auto workerLoop = [&]() {
-            for (;;) {
-                const u64 i = next.fetch_add(1);
-                if (i >= total)
-                    return;
-                auto record = std::make_unique<SweepRecord>();
-                record->planIndex = static_cast<u32>(i);
-                record->spec = specs[i];
-                record->result = runOne(specs[i]);
-                specs_done.fetch_add(1, std::memory_order_relaxed);
-
-                // Publish, then flush the contiguous finished prefix
-                // in plan order so sinks see a deterministic stream.
-                std::lock_guard<std::mutex> lock(emitMutex);
-                done[i] = std::move(record);
-                while (emitted < total && done[emitted]) {
-                    for (auto *sink : allSinks)
-                        sink->add(*done[emitted]);
-                    ++emitted;
-                }
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (u32 w = 0; w < workers; ++w)
-            pool.emplace_back(workerLoop);
-        for (auto &t : pool)
-            t.join();
-        SONIC_ASSERT(emitted == total, "sweep lost records");
-    }
+                sink->add(*done[i]);
+            done[i].reset();
+        });
 
     for (auto *sink : allSinks)
         sink->end();

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace sonic::dnn
@@ -72,10 +73,12 @@ makeDataset(const NetworkSpec &teacher, u32 n, u64 seed)
     for (u32 c = 0; c < classes; ++c)
         protos.push_back(makePrototype(teacher.input, c, seed));
 
+    // The inputs come off one RNG stream, so they are drawn serially;
+    // each label is then a pure function of its input, computed on the
+    // cold-start workers.
     Rng rng = Rng(seed).fork(7);
-    Dataset data;
-    data.reserve(n);
-    for (u32 i = 0; i < n; ++i) {
+    Dataset data(n);
+    for (auto &sample : data) {
         const u32 proto_cls = static_cast<u32>(rng.below(classes));
         tensor::FeatureMap x(teacher.input.c, teacher.input.h,
                              teacher.input.w);
@@ -84,11 +87,11 @@ makeDataset(const NetworkSpec &teacher, u32 n, u64 seed)
                         + 0.10 * rng.gaussian();
             x.data[e] = std::clamp(v, -1.0, 1.0);
         }
-        Sample s;
-        s.label = teacher.classify(x);
-        s.input = std::move(x);
-        data.push_back(std::move(s));
+        sample.input = std::move(x);
     }
+    util::parallelFor(n, util::coldStartWorkers(), [&](u64 i, u32) {
+        data[i].label = teacher.classify(data[i].input);
+    });
     return data;
 }
 

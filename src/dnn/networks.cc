@@ -2,10 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include "tensor/decompose.hh"
 #include "tensor/sparse.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 
 namespace sonic::dnn
@@ -321,6 +323,42 @@ tableBudgets(NetId id)
     panic("bad NetId");
 }
 
+/** OkG's 128x128 bottleneck: a plain SVD pair outside the budgets. */
+bool
+isOkgBottleneck(NetId id, const DenseFcLayer &fc)
+{
+    return id == NetId::Okg && fc.weights.rows() == 128
+        && fc.weights.cols() == 128;
+}
+
+/**
+ * Build a compressed network one teacher layer at a time: layer(li,
+ * out) appends layer li's compressed form (the SVD, the CP rank-1 or
+ * the prune) to its own fragment. The fragments are independent, so
+ * they are built concurrently on the cold-start workers and then
+ * concatenated in layer order; the result is the serial loop's.
+ */
+NetworkSpec
+compressLayerwise(
+    const NetworkSpec &teacher,
+    const std::function<void(u32, std::vector<LayerSpec> &)> &layer)
+{
+    std::vector<std::vector<LayerSpec>> fragments(teacher.layers.size());
+    util::parallelFor(fragments.size(), util::coldStartWorkers(),
+                      [&](u64 li, u32) {
+                          layer(static_cast<u32>(li), fragments[li]);
+                      });
+
+    NetworkSpec net;
+    net.name = teacher.name;
+    net.input = teacher.input;
+    net.numClasses = teacher.numClasses;
+    for (auto &fragment : fragments)
+        for (auto &spec : fragment)
+            net.layers.push_back(std::move(spec));
+    return net;
+}
+
 } // namespace
 
 const char *
@@ -360,15 +398,24 @@ NetworkSpec
 compressTeacher(NetId id, const NetworkSpec &teacher,
                 const CompressionKnobs &knobs)
 {
-    Budgets budgets = tableBudgets(id);
+    const Budgets budgets = tableBudgets(id);
 
-    NetworkSpec net;
-    net.name = teacher.name;
-    net.input = teacher.input;
-    net.numClasses = teacher.numClasses;
+    // The budgeted hidden FC layers take the Table 2 fc1/fc2 budgets
+    // in layer order; number them up front so every layer's fragment
+    // depends on nothing but its own teacher layer.
+    const u32 n_layers = static_cast<u32>(teacher.layers.size());
+    std::vector<u32> fc_index(n_layers, 0);
+    for (u32 li = 0, next_fc = 0; li < n_layers; ++li) {
+        fc_index[li] = next_fc;
+        const auto *fc =
+            std::get_if<DenseFcLayer>(&teacher.layers[li].op);
+        if (fc != nullptr && li + 1 < n_layers
+            && !isOkgBottleneck(id, *fc))
+            ++next_fc;
+    }
 
-    u32 fc_index = 0;
-    for (u32 li = 0; li < teacher.layers.size(); ++li) {
+    return compressLayerwise(teacher, [&](u32 li,
+                                          std::vector<LayerSpec> &out) {
         const auto &layer = teacher.layers[li];
         if (const auto *conv = std::get_if<DenseConvLayer>(&layer.op)) {
             const bool is_mnist_conv2 =
@@ -399,8 +446,8 @@ compressTeacher(NetId id, const NetworkSpec &teacher,
                         bank.data[oc * block + e] =
                             slice.at(0, static_cast<u32>(e));
                 }
-                net.layers.push_back({layer.name, SparseConvLayer{bank},
-                                      layer.reluAfter, layer.poolAfter});
+                out.push_back({layer.name, SparseConvLayer{bank},
+                               layer.reluAfter, layer.poolAfter});
             } else if (knobs.separateConv) {
                 FactoredConvLayer f;
                 if (conv->filters.inChannels == 1) {
@@ -425,8 +472,8 @@ compressTeacher(NetId id, const NetworkSpec &teacher,
                     for (u32 oc = 0; oc < t.dim0(); ++oc)
                         f.scale[oc] = cp.lambda * cp.a[oc];
                 }
-                net.layers.push_back({layer.name, std::move(f),
-                                      layer.reluAfter, layer.poolAfter});
+                out.push_back({layer.name, std::move(f), layer.reluAfter,
+                               layer.poolAfter});
             } else {
                 // Prune-only conv.
                 tensor::FilterBank bank = conv->filters;
@@ -436,18 +483,14 @@ compressTeacher(NetId id, const NetworkSpec &teacher,
                 tensor::pruneToFraction(
                     flat, std::min(1.0, 0.15 * knobs.convKeep));
                 bank.data = flat.data();
-                net.layers.push_back({layer.name, SparseConvLayer{bank},
-                                      layer.reluAfter, layer.poolAfter});
+                out.push_back({layer.name, SparseConvLayer{bank},
+                               layer.reluAfter, layer.poolAfter});
             }
         } else if (const auto *fc = std::get_if<DenseFcLayer>(&layer.op)) {
-            const bool is_last = li + 1 == teacher.layers.size();
-            const bool is_okg_bottleneck =
-                id == NetId::Okg && fc->weights.rows() == 128
-                && fc->weights.cols() == 128;
-            if (is_last) {
+            if (li + 1 == n_layers) {
                 // Final classifier layers stay dense (Table 2 "—").
-                net.layers.push_back(layer);
-            } else if (is_okg_bottleneck) {
+                out.push_back(layer);
+            } else if (isOkgBottleneck(id, *fc)) {
                 // Table 2: plain SVD into a 32-rank dense pair.
                 const u32 k = std::max(
                     1u,
@@ -459,16 +502,16 @@ compressTeacher(NetId id, const NetworkSpec &teacher,
                 for (u32 r = 0; r < uf.rows(); ++r)
                     for (u32 c = 0; c < uf.cols(); ++c)
                         uf.at(r, c) *= svd.s[c];
-                net.layers.push_back({layer.name,
-                                      DenseFcLayer{svd.v.transpose()},
-                                      false, false});
-                net.layers.push_back({layer.name, DenseFcLayer{uf},
-                                      layer.reluAfter, false});
+                out.push_back({layer.name,
+                               DenseFcLayer{svd.v.transpose()}, false,
+                               false});
+                out.push_back({layer.name, DenseFcLayer{uf},
+                               layer.reluAfter, false});
             } else {
-                const u64 budget = fc_index == 0 ? budgets.fc1Nnz
-                                                 : budgets.fc2Nnz;
-                const u32 rank = fc_index == 0 ? budgets.fc1Rank
-                                               : budgets.fc2Rank;
+                const bool first = fc_index[li] == 0;
+                const u64 budget =
+                    first ? budgets.fc1Nnz : budgets.fc2Nnz;
+                const u32 rank = first ? budgets.fc1Rank : budgets.fc2Rank;
                 const u64 nnz = std::max<u64>(
                     16, static_cast<u64>(std::llround(
                             knobs.fcKeep * static_cast<f64>(budget))));
@@ -476,20 +519,17 @@ compressTeacher(NetId id, const NetworkSpec &teacher,
                     const u32 k = std::max(
                         1u, static_cast<u32>(std::lround(
                                 rank * knobs.fcRankScale)));
-                    appendCompressedFc(net.layers, layer.name,
-                                       fc->weights, k, nnz,
-                                       layer.reluAfter);
+                    appendCompressedFc(out, layer.name, fc->weights, k,
+                                       nnz, layer.reluAfter);
                 } else {
-                    appendPrunedFc(net.layers, layer.name, fc->weights,
-                                   nnz, layer.reluAfter);
+                    appendPrunedFc(out, layer.name, fc->weights, nnz,
+                                   layer.reluAfter);
                 }
-                ++fc_index;
             }
         } else {
-            net.layers.push_back(layer);
+            out.push_back(layer);
         }
-    }
-    return net;
+    });
 }
 
 NetworkSpec
@@ -501,17 +541,13 @@ buildCompressed(NetId id, u64 seed)
 NetworkSpec
 compressGeneric(const NetworkSpec &teacher, const CompressionKnobs &knobs)
 {
-    NetworkSpec net;
-    net.name = teacher.name;
-    net.input = teacher.input;
-    net.numClasses = teacher.numClasses;
-
-    for (u32 li = 0; li < teacher.layers.size(); ++li) {
+    const u32 n_layers = static_cast<u32>(teacher.layers.size());
+    return compressLayerwise(teacher, [&](u32 li,
+                                          std::vector<LayerSpec> &out) {
         const auto &layer = teacher.layers[li];
-        const bool is_last = li + 1 == teacher.layers.size();
         if (const auto *conv = std::get_if<DenseConvLayer>(&layer.op)) {
             if (knobs.separateConv && conv->filters.inChannels == 1) {
-                net.layers.push_back(
+                out.push_back(
                     {layer.name,
                      factorSingleChannelConv(conv->filters,
                                              std::min(1.0,
@@ -525,15 +561,15 @@ compressGeneric(const NetworkSpec &teacher, const CompressionKnobs &knobs)
                 tensor::pruneToFraction(
                     flat, std::min(1.0, 0.25 * knobs.convKeep));
                 bank.data = flat.data();
-                net.layers.push_back({layer.name, SparseConvLayer{bank},
-                                      layer.reluAfter, layer.poolAfter});
+                out.push_back({layer.name, SparseConvLayer{bank},
+                               layer.reluAfter, layer.poolAfter});
             }
         } else if (const auto *fc =
                        std::get_if<DenseFcLayer>(&layer.op)) {
-            if (is_last) {
+            if (li + 1 == n_layers) {
                 // Final classifier stays dense (the Table 2 "—" rule).
-                net.layers.push_back(layer);
-                continue;
+                out.push_back(layer);
+                return;
             }
             const u32 max_rank =
                 std::min(fc->weights.rows(), fc->weights.cols());
@@ -548,18 +584,17 @@ compressGeneric(const NetworkSpec &teacher, const CompressionKnobs &knobs)
                              static_cast<u32>(std::lround(
                                  static_cast<f64>(max_rank) / 8.0
                                  * knobs.fcRankScale))));
-                appendCompressedFc(net.layers, layer.name, fc->weights,
-                                   rank, nnz, layer.reluAfter);
+                appendCompressedFc(out, layer.name, fc->weights, rank,
+                                   nnz, layer.reluAfter);
             } else {
-                appendPrunedFc(net.layers, layer.name, fc->weights, nnz,
+                appendPrunedFc(out, layer.name, fc->weights, nnz,
                                layer.reluAfter);
             }
         } else {
             // Factored / sparse forms are already compressed.
-            net.layers.push_back(layer);
+            out.push_back(layer);
         }
-    }
-    return net;
+    });
 }
 
 } // namespace sonic::dnn

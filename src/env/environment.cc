@@ -78,12 +78,16 @@ parseEnvRef(const std::string &text, EnvRef *out, std::string *error)
                + unit + "')";
         return false;
     }
-    if (value <= 0.0) {
+    // NaN, infinity and a product that underflows (to a subnormal, or
+    // to 0.0, which would silently mean "the environment's default")
+    // are all rejected.
+    const f64 farads = value * scale;
+    if (!(std::isnormal(farads) && farads > 0.0)) {
         *error = "environment reference '" + text
-               + "': capacitance must be positive";
+               + "': capacitance must be positive and finite";
         return false;
     }
-    out->capacitanceFarads = value * scale;
+    out->capacitanceFarads = farads;
     return true;
 }
 

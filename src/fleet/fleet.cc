@@ -3,10 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <bit>
-#include <mutex>
+#include <functional>
 #include <ostream>
 #include <sstream>
-#include <thread>
 #include <typeinfo>
 
 #include "dnn/device_net.hh"
@@ -16,6 +15,7 @@
 #include "util/progress.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
 
@@ -455,7 +455,10 @@ simulateDeviceImpl(const FleetPlan &plan, u32 device_index,
             }
         }
         if (!round_done) {
-            RoundRun fresh = run_real_round(k, round_cacheable);
+            // The FRAM digest is only ever compared by a verifying
+            // hit, so only a verifying run pays for it on a miss.
+            RoundRun fresh =
+                run_real_round(k, round_cacheable && ctx.verify);
             if (round_cacheable) {
                 ctx.roundCache->countMiss();
             } else if (!lifetime_cacheable
@@ -804,7 +807,7 @@ runFleet(const FleetPlan &plan, FleetOptions options,
 {
     plan.validate();
 
-    // Warm the zoo cache single-threaded so workers only read
+    // Warm the zoo cache before the fan-out so workers only read
     // immutable artifacts (same discipline as Engine::run).
     for (const auto &net : plan.nets) {
         const auto &entry = dnn::ModelZoo::instance().get(net);
@@ -813,9 +816,8 @@ runFleet(const FleetPlan &plan, FleetOptions options,
     }
 
     const u64 total = plan.devices;
-    u32 workers = options.threads > 0
-        ? options.threads
-        : std::max(1u, std::thread::hardware_concurrency());
+    u32 workers =
+        options.threads > 0 ? options.threads : util::hardwareWorkers();
     workers = static_cast<u32>(std::min<u64>(workers, total));
 
     std::vector<FleetSink *> live_sinks;
@@ -863,75 +865,34 @@ runFleet(const FleetPlan &plan, FleetOptions options,
     std::vector<std::vector<f64>> worker_latencies(workers);
     std::vector<std::vector<f64>> worker_deliveries(workers);
 
-    if (workers <= 1) {
-        for (u64 i = 0; i < total; ++i) {
+    // Work stealing over device lifetimes: the shared cursor hands the
+    // next device to whichever worker frees up first, so a fleet of
+    // wildly uneven lifetimes (a solar device waiting out the night
+    // next to a bench device) still load-balances. Sinks see devices
+    // in index order.
+    std::function<void(u64)> emit;
+    if (!live_sinks.empty()) {
+        emit = [&](u64 i) {
+            const DeviceTelemetry view = columns.materialize(plan, i);
+            for (auto *sink : live_sinks)
+                sink->add(view);
+        };
+    }
+    util::parallelFor(
+        total, workers,
+        [&](u64 i, u32 w) {
             const DeviceTelemetry t = simulateDeviceImpl(
                 plan, static_cast<u32>(i), context_for(i));
             devices_done.fetch_add(1, std::memory_order_relaxed);
             columns.store(i, t);
-            worker_latencies[0].insert(worker_latencies[0].end(),
+            worker_latencies[w].insert(worker_latencies[w].end(),
                                        t.inferenceSeconds.begin(),
                                        t.inferenceSeconds.end());
-            worker_deliveries[0].insert(worker_deliveries[0].end(),
+            worker_deliveries[w].insert(worker_deliveries[w].end(),
                                         t.deliverySeconds.begin(),
                                         t.deliverySeconds.end());
-            if (!live_sinks.empty()) {
-                const DeviceTelemetry view =
-                    columns.materialize(plan, i);
-                for (auto *sink : live_sinks)
-                    sink->add(view);
-            }
-        }
-    } else {
-        // Work stealing over device lifetimes: the shared cursor hands
-        // the next device to whichever worker frees up first, so a
-        // fleet of wildly uneven lifetimes (a solar device waiting out
-        // the night next to a bench device) still load-balances.
-        std::atomic<u64> next{0};
-        std::mutex emitMutex;
-        std::vector<u8> ready(total, 0);
-        u64 emitted = 0;
-
-        auto workerLoop = [&](u32 w) {
-            for (;;) {
-                const u64 i = next.fetch_add(1);
-                if (i >= total)
-                    return;
-                const DeviceTelemetry t = simulateDeviceImpl(
-                    plan, static_cast<u32>(i), context_for(i));
-                devices_done.fetch_add(1, std::memory_order_relaxed);
-                columns.store(i, t);
-                worker_latencies[w].insert(
-                    worker_latencies[w].end(),
-                    t.inferenceSeconds.begin(),
-                    t.inferenceSeconds.end());
-                worker_deliveries[w].insert(
-                    worker_deliveries[w].end(),
-                    t.deliverySeconds.begin(),
-                    t.deliverySeconds.end());
-
-                std::lock_guard<std::mutex> lock(emitMutex);
-                ready[i] = 1;
-                while (emitted < total && ready[emitted]) {
-                    if (!live_sinks.empty()) {
-                        const DeviceTelemetry view =
-                            columns.materialize(plan, emitted);
-                        for (auto *sink : live_sinks)
-                            sink->add(view);
-                    }
-                    ++emitted;
-                }
-            }
-        };
-
-        std::vector<std::thread> pool;
-        pool.reserve(workers);
-        for (u32 w = 0; w < workers; ++w)
-            pool.emplace_back(workerLoop, w);
-        for (auto &t : pool)
-            t.join();
-        SONIC_ASSERT(emitted == total, "fleet lost devices");
-    }
+        },
+        emit);
 
     for (auto *sink : live_sinks)
         sink->end();

@@ -99,7 +99,9 @@ struct RoundTrace
     bool delivered = false;
     bool txGaveUp = false;
 
-    /** Verification digests (PR 3 NVM digest + logits digest). */
+    /** Verification digests (NVM digest + logits digest). The NVM
+     * digest is filled only under FleetOptions::verifyCache, the one
+     * mode that compares it; otherwise it stays 0. */
     u64 nvmDigest = 0;
     u64 logitsDigest = 0;
 

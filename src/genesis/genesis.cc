@@ -1,8 +1,11 @@
 #include "genesis/genesis.hh"
 
 #include <algorithm>
+#include <utility>
+#include <vector>
 
 #include "util/logging.hh"
+#include "util/parallel.hh"
 
 namespace sonic::genesis
 {
@@ -97,10 +100,10 @@ runGenesis(const dnn::NetRef &net, const GenesisOptions &opts)
         ranks = {1.0};
     }
 
-    auto eval = [&](Technique t, const dnn::CompressionKnobs &knobs) {
-        result.configs.push_back(evaluateConfig(
-            model, t, knobs, teacher, data, result.interestingClass,
-            opts));
+    // The grid in its fixed order; each point is evaluated below.
+    std::vector<std::pair<Technique, dnn::CompressionKnobs>> grid;
+    auto add = [&](Technique t, const dnn::CompressionKnobs &knobs) {
+        grid.emplace_back(t, knobs);
     };
 
     // Separation + pruning.
@@ -113,7 +116,7 @@ runGenesis(const dnn::NetRef &net, const GenesisOptions &opts)
                 knobs.fcKeep = fk;
                 knobs.convKeep = ck;
                 knobs.fcRankScale = rs;
-                eval(Technique::SeparateAndPrune, knobs);
+                add(Technique::SeparateAndPrune, knobs);
             }
         }
     }
@@ -125,7 +128,7 @@ runGenesis(const dnn::NetRef &net, const GenesisOptions &opts)
         knobs.fcKeep = 1e9;
         knobs.convKeep = 1e9;
         knobs.fcRankScale = rs;
-        eval(Technique::SeparateOnly, knobs);
+        add(Technique::SeparateOnly, knobs);
     }
     // Pruning only.
     for (f64 fk : fc_keeps) {
@@ -135,9 +138,22 @@ runGenesis(const dnn::NetRef &net, const GenesisOptions &opts)
             knobs.svdFc = false;
             knobs.fcKeep = fk;
             knobs.convKeep = ck;
-            eval(Technique::PruneOnly, knobs);
+            add(Technique::PruneOnly, knobs);
         }
     }
+
+    // Every knob point is a pure function of the shared teacher data,
+    // so the grid fans out over the cores into indexed slots (each
+    // point's own per-layer fan runs inline on its worker) and the
+    // configs keep grid order.
+    result.configs.resize(grid.size());
+    util::parallelFor(grid.size(), util::hardwareWorkers(),
+                      [&](u64 i, u32) {
+                          result.configs[i] = evaluateConfig(
+                              model, grid[i].first, grid[i].second,
+                              teacher, data, result.interestingClass,
+                              opts);
+                      });
 
     // Choose the feasible configuration maximizing IMpJ.
     u32 best = 0;

@@ -28,6 +28,83 @@ rotateRows(f64 *__restrict x, f64 *__restrict y, u32 n, f64 c, f64 s)
     }
 }
 
+/**
+ * The Gram matrix A A^T (rows) or A^T A (!rows), bit for bit what
+ * a.matmul(a.transpose()) and a.transpose().matmul(a) compute, with
+ * half their multiply-adds and no transposed copy of A.
+ *
+ * Both matmul forms sum G(r, c) = sum_k x_k * y_k in ascending k from
+ * +0.0, where x and y are A's rows (or columns) r and c, skipping the
+ * terms whose left factor is zero. For finite entries a skipped term
+ * is a +-0 product, and adding +-0 to an accumulator that starts at
+ * +0.0 changes no bit: x + (+-0) == x for x != 0, and the accumulator
+ * can never become -0, since only -0 + -0 gives -0. Products commute
+ * exactly, so G(c, r) has G(r, c)'s bits: the upper triangle is
+ * computed and mirrored.
+ */
+Matrix
+gramMatrix(const Matrix &a, bool rows)
+{
+    const u32 m = a.rows();
+    const u32 n = a.cols();
+    const u32 g = rows ? m : n;
+    Matrix gram(g, g);
+    const f64 *src = a.data().data();
+    f64 *out = gram.data().data();
+    if (rows) {
+        // Row dot products, four columns of G at a time: four
+        // independent accumulators, each in ascending k.
+        for (u32 r = 0; r < g; ++r) {
+            const f64 *x = src + u64{r} * n;
+            f64 *grow = out + u64{r} * g;
+            u32 c = r;
+            for (; c + 4 <= g; c += 4) {
+                const f64 *y0 = src + u64{c} * n;
+                const f64 *y1 = y0 + n;
+                const f64 *y2 = y1 + n;
+                const f64 *y3 = y2 + n;
+                f64 s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
+                for (u32 k = 0; k < n; ++k) {
+                    const f64 xk = x[k];
+                    s0 += xk * y0[k];
+                    s1 += xk * y1[k];
+                    s2 += xk * y2[k];
+                    s3 += xk * y3[k];
+                }
+                grow[c] = s0;
+                grow[c + 1] = s1;
+                grow[c + 2] = s2;
+                grow[c + 3] = s3;
+            }
+            for (; c < g; ++c) {
+                const f64 *y = src + u64{c} * n;
+                f64 sum = 0.0;
+                for (u32 k = 0; k < n; ++k)
+                    sum += x[k] * y[k];
+                grow[c] = sum;
+            }
+        }
+    } else {
+        // Column r of A against columns r.. of A: matmul's row sweep
+        // over A's rows, reading A(k, r) in place of A^T(r, k).
+        for (u32 r = 0; r < g; ++r) {
+            f64 *__restrict grow = out + u64{r} * g;
+            for (u32 k = 0; k < m; ++k) {
+                const f64 *__restrict arow = src + u64{k} * n;
+                const f64 x = arow[r];
+                if (x == 0.0)
+                    continue;
+                for (u32 c = r; c < g; ++c)
+                    grow[c] += x * arow[c];
+            }
+        }
+    }
+    for (u32 r = 0; r < g; ++r)
+        for (u32 c = r + 1; c < g; ++c)
+            out[u64{c} * g + r] = out[u64{r} * g + c];
+    return gram;
+}
+
 } // namespace
 
 EigenResult
@@ -136,9 +213,7 @@ truncatedSvd(const Matrix &a, u32 k)
 
     // Work with the smaller Gram matrix.
     const bool use_rows = m <= n;
-    Matrix gram = use_rows ? a.matmul(a.transpose())
-                           : a.transpose().matmul(a);
-    EigenResult eig = symmetricEigen(gram);
+    EigenResult eig = symmetricEigen(gramMatrix(a, use_rows));
 
     SvdResult result;
     result.s.resize(k);

@@ -458,6 +458,32 @@ TEST(EnvRef, ParsesNamesAndCapacitorOverrides)
     EXPECT_NE(error.find("positive"), std::string::npos);
 }
 
+TEST(EnvRef, RejectsNonFiniteAndUnderflowingCapacitance)
+{
+    // strtod reads "nan" and "inf", and 1e-305 nF underflows to a
+    // subnormal farad count (a smaller factor would reach 0.0 F, which
+    // means "the default capacitor"): each must fail like a negative
+    // value does.
+    for (const char *text :
+         {"solar@nanF", "solar@NANmF", "solar@infF", "solar@-infuF",
+          "solar@1e-305nF", "solar@0F", "solar@-0mF"}) {
+        SCOPED_TRACE(text);
+        EnvRef ref;
+        std::string error;
+        EXPECT_FALSE(parseEnvRef(text, &ref, &error));
+        EXPECT_NE(error.find("capacitance must be positive"),
+                  std::string::npos)
+            << error;
+    }
+    EnvRef ref;
+    std::string error;
+    // A factor that is itself subnormal does not parse at all.
+    EXPECT_FALSE(parseEnvRef("solar@1e-320nF", &ref, &error));
+    // A tiny product that stays a positive normal double still parses.
+    ASSERT_TRUE(parseEnvRef("solar@1e-290nF", &ref, &error)) << error;
+    EXPECT_GT(ref.capacitanceFarads, 0.0);
+}
+
 // --- Registry -------------------------------------------------------
 
 TEST(EnvRegistry, BuiltinsAreRegistered)

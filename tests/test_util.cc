@@ -1,22 +1,29 @@
 /**
  * @file
  * Unit tests for util: deterministic RNG, table formatting, the
- * shortest-round-trip f64 formatter, and checked CLI number parsing.
+ * shortest-round-trip f64 formatter, checked CLI number parsing, and
+ * the ordered parallel executor.
  */
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <bit>
+#include <chrono>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <limits>
 #include <optional>
 #include <random>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "util/cli.hh"
 #include "util/fmt.hh"
+#include "util/parallel.hh"
 #include "util/rng.hh"
 #include "util/table.hh"
 
@@ -265,6 +272,177 @@ TEST(ParseNumber, RejectsNonFiniteAndMalformedText)
         EXPECT_EQ(cli::parseNumber<f64>("--h", bad, -big, big),
                   std::nullopt)
             << "'" << bad << "'";
+}
+
+// --- parallelFor ----------------------------------------------------
+
+/** Tasks of uneven length, so workers finish out of index order. */
+void
+unevenPause(u64 i)
+{
+    std::this_thread::sleep_for(std::chrono::microseconds((i * 37) % 200));
+}
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnce)
+{
+    for (const u32 workers : {1u, 2u, 4u, 64u}) {
+        SCOPED_TRACE(workers);
+        constexpr u64 n = 300;
+        std::vector<std::atomic<u32>> runs(n);
+        std::vector<u32> worker_of(n);
+        util::parallelFor(n, workers, [&](u64 i, u32 worker) {
+            runs[i].fetch_add(1);
+            worker_of[i] = worker;
+        });
+        for (u64 i = 0; i < n; ++i) {
+            EXPECT_EQ(runs[i].load(), 1u) << i;
+            // Worker ids stay below min(workers, n).
+            EXPECT_LT(worker_of[i], std::min<u64>(workers, n)) << i;
+        }
+    }
+    // An empty range runs nothing.
+    util::parallelFor(0, 4, [](u64, u32) { FAIL(); });
+}
+
+TEST(ParallelFor, ResultsAreIdenticalAtOneTwoAndFourWorkers)
+{
+    const auto run = [](u32 workers) {
+        std::vector<u64> slots(257);
+        util::parallelFor(slots.size(), workers, [&](u64 i, u32) {
+            Rng rng(i);
+            u64 h = 0;
+            for (int k = 0; k < 100; ++k)
+                h = h * 31 + rng.next();
+            slots[i] = h;
+        });
+        return slots;
+    };
+    const auto serial = run(1);
+    EXPECT_EQ(run(2), serial);
+    EXPECT_EQ(run(4), serial);
+}
+
+TEST(ParallelFor, LowestIndexExceptionIsRethrownAfterEveryWorkerStops)
+{
+    for (const u32 workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(workers);
+        constexpr u64 n = 400;
+        std::atomic<u32> running{0};
+        std::atomic<u64> started{0};
+        std::vector<std::atomic<u8>> ran(n);
+        std::vector<u64> emitted;
+        std::string caught;
+        try {
+            util::parallelFor(
+                n, workers,
+                [&](u64 i, u32) {
+                    running.fetch_add(1);
+                    started.fetch_add(1);
+                    ran[i].store(1);
+                    unevenPause(i);
+                    running.fetch_sub(1);
+                    // Several indices fail; a later one may fail first
+                    // in time, but 37 must win.
+                    if (i == 37 || i == 38 || i == 90 || i == 300)
+                        throw std::runtime_error(std::to_string(i));
+                },
+                [&](u64 i) { emitted.push_back(i); });
+        } catch (const std::runtime_error &e) {
+            caught = e.what();
+        }
+        EXPECT_EQ(caught, "37");
+        // Every worker stopped before the rethrow: nothing is running
+        // and nothing starts afterwards.
+        EXPECT_EQ(running.load(), 0u);
+        const u64 started_at_return = started.load();
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        EXPECT_EQ(started.load(), started_at_return);
+        // Every index below the failure ran, as in a serial loop, and
+        // the ordered emit stopped just before it.
+        for (u64 i = 0; i < 37; ++i)
+            EXPECT_EQ(ran[i].load(), 1) << i;
+        ASSERT_EQ(emitted.size(), 37u);
+        for (u64 i = 0; i < emitted.size(); ++i)
+            EXPECT_EQ(emitted[i], i);
+    }
+}
+
+TEST(ParallelFor, AnEmitExceptionStopsTheLoop)
+{
+    std::vector<u64> emitted;
+    EXPECT_THROW(util::parallelFor(
+                     100, 4, [](u64 i, u32) { unevenPause(i); },
+                     [&](u64 i) {
+                         if (i == 10)
+                             throw std::logic_error("sink failed");
+                         emitted.push_back(i);
+                     }),
+                 std::logic_error);
+    EXPECT_EQ(emitted.size(), 10u);
+}
+
+TEST(ParallelFor, NestedCallRunsInlineOnItsWorker)
+{
+    constexpr u64 outer = 8;
+    constexpr u64 inner = 16;
+    std::vector<std::thread::id> outer_thread(outer);
+    std::vector<std::vector<std::thread::id>> inner_thread(
+        outer, std::vector<std::thread::id>(inner));
+    std::vector<std::vector<u32>> inner_worker(outer,
+                                               std::vector<u32>(inner, 9));
+    std::vector<std::vector<u64>> inner_order(outer);
+    util::parallelFor(outer, 4, [&](u64 o, u32) {
+        outer_thread[o] = std::this_thread::get_id();
+        util::parallelFor(
+            inner, 4,
+            [&](u64 i, u32 worker) {
+                // Long enough that spawned helpers would take some.
+                unevenPause(i);
+                inner_thread[o][i] = std::this_thread::get_id();
+                inner_worker[o][i] = worker;
+            },
+            [&](u64 i) { inner_order[o].push_back(i); });
+    });
+    for (u64 o = 0; o < outer; ++o) {
+        ASSERT_EQ(inner_order[o].size(), inner);
+        for (u64 i = 0; i < inner; ++i) {
+            EXPECT_EQ(inner_thread[o][i], outer_thread[o]);
+            EXPECT_EQ(inner_worker[o][i], 0u);
+            EXPECT_EQ(inner_order[o][i], i);
+        }
+    }
+}
+
+TEST(ParallelFor, OrderedEmitSeesEveryIndexInOrder)
+{
+    for (const u32 workers : {1u, 2u, 4u}) {
+        SCOPED_TRACE(workers);
+        constexpr u64 n = 500;
+        std::vector<std::atomic<u8>> finished(n);
+        std::vector<u64> emitted;
+        bool emitted_unfinished = false;
+        util::parallelFor(
+            n, workers,
+            [&](u64 i, u32) {
+                unevenPause(i);
+                finished[i].store(1);
+            },
+            [&](u64 i) {
+                emitted_unfinished |= finished[i].load() == 0;
+                emitted.push_back(i);
+            });
+        EXPECT_FALSE(emitted_unfinished);
+        ASSERT_EQ(emitted.size(), n);
+        for (u64 i = 0; i < n; ++i)
+            EXPECT_EQ(emitted[i], i);
+    }
+}
+
+TEST(ParallelFor, ColdStartFansUseTheCallerAndOneHelper)
+{
+    EXPECT_EQ(util::coldStartWorkers(),
+              std::min(2u, util::hardwareWorkers()));
+    EXPECT_GE(util::hardwareWorkers(), 1u);
 }
 
 } // namespace
