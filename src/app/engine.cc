@@ -199,13 +199,10 @@ Engine::runOne(const RunSpec &spec)
         ? nullptr
         : static_cast<const arch::SchedulePower *>(psu.get());
 
+    arch::NvmDigestChain digests;
     arch::Device dev(makeProfile(spec.profile), std::move(psu));
-    ExperimentResult result;
-    if (spec.captureNvmDigests) {
-        dev.setRebootHook([&result](arch::Device &d, u64) {
-            result.rebootDigests.push_back(d.nvmDigest());
-        });
-    }
+    if (spec.captureNvmDigests)
+        dev.setProbe(&digests);
     dnn::DeviceNetwork net(dev, model(spec.net).lowered());
 
     const dnn::Dataset &data = dataset(spec.net);
@@ -214,6 +211,7 @@ Engine::runOne(const RunSpec &spec)
 
     const auto run = kernels::runInference(net, spec.impl);
 
+    ExperimentResult result;
     result.completed = run.completed;
     result.nonTerminating = run.nonTerminating;
     result.reboots = run.reboots;
@@ -226,8 +224,10 @@ Engine::runOne(const RunSpec &spec)
     result.harvestedJ = dev.power().harvestedNj() * 1e-9;
     if (schedule_psu != nullptr)
         result.scheduleFired = schedule_psu->firedCount();
-    if (spec.captureNvmDigests)
+    if (spec.captureNvmDigests) {
         result.finalNvmDigest = dev.nvmDigest();
+        result.rebootDigests = std::move(digests.digests);
+    }
 
     const auto &stats = dev.stats();
     for (u32 o = 0; o < arch::kNumOps; ++o)

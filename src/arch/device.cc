@@ -192,10 +192,14 @@ Device::reboot()
         probe_->onRecharge(*this, dead);
     for (auto *v : volatiles_)
         v->onReboot(rebootCount_);
-    if (rebootHook_)
-        rebootHook_(*this, rebootCount_);
     if (probe_ != nullptr)
         probe_->onReboot(*this, rebootCount_);
+}
+
+void
+NvmDigestChain::onReboot(const Device &dev, u64)
+{
+    digests.push_back(dev.nvmDigest());
 }
 
 } // namespace sonic::arch

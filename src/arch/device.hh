@@ -12,7 +12,6 @@
 #define SONIC_ARCH_DEVICE_HH
 
 #include <array>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -177,31 +176,21 @@ class Device
     /**
      * Digest the whole registered non-volatile (FRAM) region in
      * registration order. Pull-based and never called by the
-     * simulation itself: the cost exists only when a caller (reboot
-     * hook, golden-file emitter, test) asks for it.
+     * simulation itself: the cost exists only when a caller (the
+     * NvmDigestChain probe, golden-file emitter, test) asks for it.
      */
     u64 nvmDigest() const;
-
-    /**
-     * Hook invoked at the end of every reboot() with the reboot index
-     * (1-based). The verification oracle installs one that snapshots
-     * nvmDigest() into a per-run chain, so state divergence is pinned
-     * to the reboot boundary where it first appears. Empty (the
-     * default) costs a single branch per reboot and nothing per
-     * operation.
-     */
-    using RebootHook = std::function<void(Device &, u64 reboot_index)>;
-    void setRebootHook(RebootHook hook) { rebootHook_ = std::move(hook); }
     /// @}
 
     /** @name Event tracing (src/trace) */
     /// @{
 
     /**
-     * Install/clear the trace probe (non-owning; the caller keeps it
-     * alive for the Device's lifetime or until cleared). Null — the
-     * default — keeps every call site on its single-branch fast path;
-     * consume() itself never checks the probe at all.
+     * Install/clear the probe, the device's one observer (non-owning;
+     * declare it before the Device so it outlives ~Device's lease
+     * settle). Null — the default — keeps every call site on its
+     * single-branch fast path; consume() itself never checks the
+     * probe at all.
      */
     void setProbe(TraceProbe *probe) { probe_ = probe; }
     TraceProbe *probe() const { return probe_; }
@@ -307,7 +296,6 @@ class Device
     u64 sramUsed_ = 0;
     std::vector<VolatileResettable *> volatiles_;
     std::vector<const NvmDigestible *> nonVolatiles_;
-    RebootHook rebootHook_;
     TraceProbe *probe_ = nullptr;
 };
 

@@ -1,22 +1,29 @@
 /**
  * @file
- * The device trace probe: an observer interface the tracing subsystem
- * (src/trace) implements to receive simulation events — lease
+ * The device trace probe: the Device's one observation channel. Every
+ * observer of a simulated run implements TraceProbe — the event trace
+ * recorder (src/trace), the oracle's commit and delivery-boundary
+ * cursors (src/verify), and the per-reboot NVM digest chain below —
+ * and receives the simulation's events through it: lease
  * grant/settle, power failure, recharge dead-time, reboot, attribution
  * (layer/part) switches, and the structural spans/instants the higher
- * layers (pipeline rounds and stages, kernel dispatch, task commits)
- * report through the same device.
+ * layers (pipeline rounds and stages, kernel dispatch, task commits,
+ * delivery boundaries) report through the same device.
  *
- * The probe is a plain nullable pointer on the Device. Tracing off
- * costs exactly one predictable branch at each (already cold or
- * moderate-rate) call site and NOTHING on the Device::consume fast
- * path, which is untouched — the hard constraint the trace-overhead
- * bench gates. All methods take a const Device: probes observe clocks
- * and stats, they never steer the simulation.
+ * The probe is a plain nullable pointer on the Device, one per
+ * device. Tracing off costs exactly one predictable branch at each
+ * (already cold or moderate-rate) call site and NOTHING on the
+ * Device::consume fast path, which is untouched — the hard constraint
+ * the trace-overhead bench gates. All methods take a const Device:
+ * probes observe clocks, stats and FRAM, they never steer the
+ * simulation. A probe is declared before the Device it observes, so it
+ * outlives the lease settle ~Device reports.
  */
 
 #ifndef SONIC_ARCH_PROBE_HH
 #define SONIC_ARCH_PROBE_HH
+
+#include <vector>
 
 #include "arch/stats.hh"
 #include "util/types.hh"
@@ -38,8 +45,13 @@ enum class ProbeSpan : u8
 /** Instantaneous events reported by the task and pipeline layers. */
 enum class ProbeInstant : u8
 {
-    TaskCommit = 0, ///< two-phase task commit (arg = next task id)
-    TxBoundary = 1, ///< delivery boundary (arg = pipeline::TxBoundary)
+    /** Two-phase task commit (arg = next task id), before the
+     * transition is charged: the next draw the device performs is the
+     * first operation of the commit sequence. */
+    TaskCommit = 0,
+    /** Delivery boundary (arg = pipeline::TxBoundary), just before its
+     * journal NvVar write. */
+    TxBoundary = 1,
     AckDelivered = 2 ///< the round's result was acknowledged
 };
 
@@ -123,6 +135,20 @@ class TraceProbe
         (void)arg;
     }
     /// @}
+};
+
+/**
+ * Snapshots Device::nvmDigest() at every reboot: the per-reboot FRAM
+ * digest chain the oracle compares, so a state divergence is pinned
+ * to the reboot boundary where it first appears. Costs nothing per
+ * operation; one digest of the registered FRAM region per reboot.
+ */
+class NvmDigestChain : public TraceProbe
+{
+  public:
+    void onReboot(const Device &dev, u64) override;
+
+    std::vector<u64> digests; ///< digests[i] taken at reboot i + 1
 };
 
 } // namespace sonic::arch

@@ -5,6 +5,8 @@
 #include <fstream>
 #include <sstream>
 
+#include "util/json_parse.hh"
+
 namespace sonic::env
 {
 
@@ -166,184 +168,6 @@ parseTraceCsv(const std::string &text, HarvestModel *out,
     return samplesToModel(samples, out, &err);
 }
 
-namespace
-{
-
-/**
- * A pocket parser for the sonic-trace JSON document. The grammar is
- * tiny (one flat object, string keys, numbers, a nested array of
- * 2-element arrays), so the full model-format parser is not pulled in.
- */
-class TraceJsonParser
-{
-  public:
-    TraceJsonParser(const std::string &text, std::string *error)
-        : text_(text), error_(error)
-    {
-    }
-
-    bool
-    parse(std::string *format, u32 *version,
-          std::vector<HarvestModel::Point> *points)
-    {
-        bool have_points = false;
-        skipWs();
-        if (!expect('{'))
-            return false;
-        for (;;) {
-            skipWs();
-            std::string key;
-            if (!string(&key))
-                return false;
-            skipWs();
-            if (!expect(':'))
-                return false;
-            skipWs();
-            if (key == "format") {
-                if (!string(format))
-                    return false;
-            } else if (key == "version") {
-                f64 v = 0.0;
-                if (!number(&v))
-                    return false;
-                if (v < 0 || v != static_cast<f64>(static_cast<u32>(v)))
-                    return fail("\"version\" is not an unsigned "
-                                "integer");
-                *version = static_cast<u32>(v);
-            } else if (key == "points") {
-                if (!pointArray(points))
-                    return false;
-                have_points = true;
-            } else {
-                return fail("unknown field \"" + key + "\"");
-            }
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            if (!expect('}'))
-                return false;
-            break;
-        }
-        skipWs();
-        if (pos_ != text_.size())
-            return fail("trailing garbage after the document");
-        if (!have_points)
-            return fail("missing \"points\" array");
-        return true;
-    }
-
-  private:
-    bool
-    fail(const std::string &message)
-    {
-        if (error_->empty())
-            *error_ = "trace JSON error at byte " + std::to_string(pos_)
-                    + ": " + message;
-        return false;
-    }
-
-    void
-    skipWs()
-    {
-        while (pos_ < text_.size()
-               && std::isspace(static_cast<unsigned char>(text_[pos_])))
-            ++pos_;
-    }
-
-    bool
-    expect(char c)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != c)
-            return fail(std::string("expected '") + c + "'");
-        ++pos_;
-        return true;
-    }
-
-    bool
-    string(std::string *out)
-    {
-        if (pos_ >= text_.size() || text_[pos_] != '"')
-            return fail("expected a string");
-        ++pos_;
-        out->clear();
-        while (pos_ < text_.size() && text_[pos_] != '"') {
-            if (text_[pos_] == '\\')
-                return fail("escapes are not used in trace documents");
-            out->push_back(text_[pos_++]);
-        }
-        return expect('"');
-    }
-
-    bool
-    number(f64 *out)
-    {
-        const u64 start = pos_;
-        while (pos_ < text_.size()
-               && (std::isdigit(static_cast<unsigned char>(text_[pos_]))
-                   || text_[pos_] == '-' || text_[pos_] == '+'
-                   || text_[pos_] == '.' || text_[pos_] == 'e'
-                   || text_[pos_] == 'E'))
-            ++pos_;
-        const std::string token = text_.substr(start, pos_ - start);
-        try {
-            std::size_t used = 0;
-            *out = std::stod(token, &used);
-            if (used != token.size())
-                return fail("invalid number");
-        } catch (const std::exception &) {
-            return fail("invalid number");
-        }
-        return true;
-    }
-
-    bool
-    pointArray(std::vector<HarvestModel::Point> *out)
-    {
-        if (!expect('['))
-            return false;
-        skipWs();
-        if (pos_ < text_.size() && text_[pos_] == ']') {
-            ++pos_;
-            return true;
-        }
-        for (;;) {
-            skipWs();
-            if (!expect('['))
-                return false;
-            HarvestModel::Point p;
-            skipWs();
-            if (!number(&p.seconds))
-                return false;
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ']')
-                return fail("each point must be [seconds, watts]");
-            if (!expect(','))
-                return false;
-            skipWs();
-            if (!number(&p.watts))
-                return false;
-            skipWs();
-            if (!expect(']'))
-                return fail("each point must be [seconds, watts]");
-            out->push_back(p);
-            skipWs();
-            if (pos_ < text_.size() && text_[pos_] == ',') {
-                ++pos_;
-                continue;
-            }
-            return expect(']');
-        }
-    }
-
-    const std::string &text_;
-    std::string *error_;
-    u64 pos_ = 0;
-};
-
-} // namespace
-
 bool
 parseTraceJson(const std::string &text, HarvestModel *out,
                std::string *error)
@@ -352,21 +176,51 @@ parseTraceJson(const std::string &text, HarvestModel *out,
     std::string &err = error != nullptr ? *error : scratch;
     err.clear();
 
-    std::string format;
-    u32 version = 0;
-    std::vector<HarvestModel::Point> samples;
-    TraceJsonParser parser(text, &err);
-    if (!parser.parse(&format, &version, &samples))
+    jsonp::JsonValue doc;
+    if (!jsonp::parseJson(text, &doc, &err))
         return false;
-    if (format != "sonic-trace") {
-        err = "not a sonic-trace document (format \"" + format + "\")";
+    const jsonp::JsonObject *obj = doc.object();
+    if (obj == nullptr) {
+        err = "not a sonic-trace document (expected a JSON object)";
         return false;
     }
+    for (const auto &[key, value] : *obj) {
+        if (key != "format" && key != "version" && key != "points") {
+            err = "trace JSON: unknown field \"" + key + "\"";
+            return false;
+        }
+    }
+    const auto format = obj->find("format");
+    if (format == obj->end() || format->second.string() == nullptr
+        || *format->second.string() != "sonic-trace") {
+        err = "not a sonic-trace document (\"format\" must be "
+              "\"sonic-trace\")";
+        return false;
+    }
+    u32 version = 0;
+    if (!jsonp::getU32(*obj, "version", &version, &err, "trace JSON"))
+        return false;
     if (version != kTraceFormatVersion) {
         err = "unsupported trace format version "
             + std::to_string(version) + " (this build reads version "
             + std::to_string(kTraceFormatVersion) + ")";
         return false;
+    }
+    const auto points = obj->find("points");
+    if (points == obj->end() || points->second.array() == nullptr) {
+        err = "trace JSON: missing \"points\" array";
+        return false;
+    }
+    std::vector<HarvestModel::Point> samples;
+    for (const jsonp::JsonValue &point : *points->second.array()) {
+        const jsonp::JsonArray *pair = point.array();
+        if (pair == nullptr || pair->size() != 2
+            || (*pair)[0].number() == nullptr
+            || (*pair)[1].number() == nullptr) {
+            err = "trace JSON: each point must be [seconds, watts]";
+            return false;
+        }
+        samples.push_back({*(*pair)[0].number(), *(*pair)[1].number()});
     }
     return samplesToModel(samples, out, &err);
 }

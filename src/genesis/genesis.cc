@@ -24,10 +24,8 @@ techniqueName(Technique t)
 ConfigPoint
 evaluateConfig(const dnn::ModelEntry &entry, Technique technique,
                const dnn::CompressionKnobs &knobs,
-               const dnn::NetworkSpec &teacher, const dnn::Dataset &data,
-               u32 interesting_class, const GenesisOptions &opts)
+               const dnn::Dataset &data, const GenesisOptions &opts)
 {
-    (void)teacher;
     ConfigPoint point;
     point.technique = technique;
     point.knobs = knobs;
@@ -40,7 +38,6 @@ evaluateConfig(const dnn::ModelEntry &entry, Technique technique,
 
     point.agreement = dnn::agreement(spec, data);
     point.accuracy = entry.meta().scaledAccuracy(point.agreement);
-    (void)interesting_class;
     // The application model uses the paper's Fig. 1/2 simplification
     // tp = tn = accuracy; per-class detection rates on the skewed
     // synthetic label distribution would let degenerate always-fire
@@ -151,8 +148,7 @@ runGenesis(const dnn::NetRef &net, const GenesisOptions &opts)
                       [&](u64 i, u32) {
                           result.configs[i] = evaluateConfig(
                               model, grid[i].first, grid[i].second,
-                              teacher, data, result.interestingClass,
-                              opts);
+                              data, opts);
                       });
 
     // Choose the feasible configuration maximizing IMpJ.

@@ -110,9 +110,7 @@ std::vector<u32> paretoFrontier(const std::vector<ConfigPoint> &configs,
 ConfigPoint evaluateConfig(const dnn::ModelEntry &entry,
                            Technique technique,
                            const dnn::CompressionKnobs &knobs,
-                           const dnn::NetworkSpec &teacher,
                            const dnn::Dataset &data,
-                           u32 interesting_class,
                            const GenesisOptions &opts);
 
 } // namespace sonic::genesis

@@ -13,13 +13,9 @@ namespace sonic::pipeline
 namespace
 {
 
-thread_local TxBoundaryObserver *tTxObserver = nullptr;
-
 void
 notifyBoundary(arch::Device &dev, TxBoundary boundary)
 {
-    if (tTxObserver != nullptr)
-        tTxObserver->onBoundary(dev, boundary);
     if (auto *p = dev.probe())
         p->onInstant(dev, arch::ProbeInstant::TxBoundary,
                      static_cast<u32>(boundary));
@@ -216,14 +212,6 @@ RoundOutcome::logitsDigest() const
     for (const i16 v : logits)
         fold(static_cast<u64>(static_cast<u16>(v)));
     return h;
-}
-
-TxBoundaryObserver *
-setThreadTxBoundaryObserver(TxBoundaryObserver *obs)
-{
-    TxBoundaryObserver *previous = tTxObserver;
-    tTxObserver = obs;
-    return previous;
 }
 
 f64

@@ -210,29 +210,14 @@ RoundOutcome runRound(dnn::DeviceNetwork &net, kernels::Impl impl,
                       const PipelineSpec &spec, u64 seed,
                       u64 round_index, const RoundLimits &limits = {});
 
-/** The delivery boundaries a TX-boundary observer can see. */
+/** The delivery boundaries a run reports through its device's probe
+ * (arch::ProbeInstant::TxBoundary, arg = the boundary). */
 enum class TxBoundary : u8
 {
     ResultCommit,   ///< just before the committed-class NvVar write
     AttemptAdvance, ///< just before the failed-attempt-count write
     AckCommit       ///< just before the acknowledged-flag write
 };
-
-/**
- * Observer invoked immediately before each delivery-boundary NvVar
- * write, on the same thread as the run — the pipeline analogue of
- * task::CommitObserver. The oracle installs a recorder here to aim
- * commit-targeted schedules at the new atomicity surface.
- */
-class TxBoundaryObserver
-{
-  public:
-    virtual ~TxBoundaryObserver() = default;
-    virtual void onBoundary(arch::Device &dev, TxBoundary boundary) = 0;
-};
-
-/** Install a thread-local observer; returns the previous one. */
-TxBoundaryObserver *setThreadTxBoundaryObserver(TxBoundaryObserver *obs);
 
 } // namespace sonic::pipeline
 

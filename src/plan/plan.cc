@@ -8,6 +8,7 @@
 #include "env/environment.hh"
 #include "kernels/runner.hh"
 #include "pipeline/pipeline.hh"
+#include "util/cli.hh"
 #include "util/fmt.hh"
 #include "util/json.hh"
 #include "util/json_parse.hh"
@@ -196,6 +197,20 @@ Plan::fromJson(const std::string &text, Plan *out, std::string *error)
         || !jsonp::getString(sc, "baseSeed", &seed_text, error,
                              "plan.scenario"))
         return false;
+    // The same ranges --devices and --horizon enforce, so a plan file
+    // cannot carry a scenario the fleet CLI would refuse as flags.
+    if (plan.devices == 0) {
+        *error = "plan.scenario: devices must be at least 1";
+        return false;
+    }
+    if (!(plan.horizonSeconds >= cli::kMinHorizonSeconds
+          && plan.horizonSeconds <= cli::kMaxHorizonSeconds)) {
+        *error = "plan.scenario: horizonSeconds "
+               + fmtF64(plan.horizonSeconds) + " is outside ["
+               + fmtF64(cli::kMinHorizonSeconds) + ", "
+               + fmtF64(cli::kMaxHorizonSeconds) + "]";
+        return false;
+    }
     if (!parseU64Decimal(seed_text, &plan.baseSeed)) {
         *error = "plan.scenario: baseSeed is not a decimal u64 "
                  "string";

@@ -35,7 +35,6 @@
 
 #include "plan/planner.hh"
 #include "util/cli.hh"
-#include "util/logging.hh"
 #include "util/table.hh"
 
 namespace
@@ -164,8 +163,11 @@ main(int argc, char **argv)
             for (const auto &name : splitCsv(value)) {
                 const auto *info =
                     kernels::ImplRegistry::instance().find(name);
-                if (info == nullptr)
-                    fatal("unknown implementation '", name, "'");
+                if (info == nullptr) {
+                    std::cerr << "unknown implementation '" << name
+                              << "'\n";
+                    return 2;
+                }
                 fleet_plan.impls.push_back(info->id);
             }
         } else if (consumeFlag(arg, "--envs", &value)) {
@@ -173,8 +175,10 @@ main(int argc, char **argv)
             for (const auto &label : splitCsv(value)) {
                 env::EnvRef ref;
                 std::string error;
-                if (!env::parseEnvRef(label, &ref, &error))
-                    fatal(error);
+                if (!env::parseEnvRef(label, &ref, &error)) {
+                    std::cerr << error << "\n";
+                    return 2;
+                }
                 fleet_plan.environments.push_back(std::move(ref));
             }
         } else if (consumeFlag(arg, "--pipelines", &value)) {

@@ -8,24 +8,6 @@ namespace sonic::task
 namespace
 {
 
-/** The calling thread's commit observer (engine workers each own one
- * run at a time, so thread-local scoping keeps oracle instrumentation
- * from crosstalking between parallel sweeps). */
-thread_local CommitObserver *t_commitObserver = nullptr;
-
-} // namespace
-
-CommitObserver *
-setThreadCommitObserver(CommitObserver *observer)
-{
-    CommitObserver *previous = t_commitObserver;
-    t_commitObserver = observer;
-    return previous;
-}
-
-namespace
-{
-
 /** Initial read-index slots: a Tile-128 task's log fits at half load. */
 constexpr u32 kLogIndexInitialLog2 = 9;
 
@@ -220,8 +202,6 @@ Scheduler::run(TaskId entry)
 void
 Scheduler::commitAndTransition(TaskId next)
 {
-    if (t_commitObserver != nullptr)
-        t_commitObserver->onCommit(dev_, next);
     if (auto *probe = dev_.probe())
         probe->onInstant(dev_, arch::ProbeInstant::TaskCommit,
                          static_cast<u32>(next));

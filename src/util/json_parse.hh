@@ -1,7 +1,8 @@
 /**
  * @file
  * The repo's one strict JSON value parser, shared by the model format
- * (dnn/model_io) and the deployment-plan format (plan/plan). Only what
+ * (dnn/model_io), the deployment-plan format (plan/plan) and the
+ * harvest-trace format (env/traces). Only what
  * those contracts need: objects, arrays, strings (ASCII escapes),
  * numbers, booleans, null. Strict — trailing garbage and malformed
  * tokens are errors, because a serialized artifact is a contract.

@@ -20,15 +20,6 @@ namespace sonic::verify
 namespace
 {
 
-u64
-sumOpInstances(const arch::Device &dev)
-{
-    u64 total = 0;
-    for (u32 o = 0; o < arch::kNumOps; ++o)
-        total += dev.stats().opCount(static_cast<arch::Op>(o));
-    return total;
-}
-
 Observation
 toObservation(const app::ExperimentResult &result)
 {
@@ -44,38 +35,127 @@ toObservation(const app::ExperimentResult &result)
     return o;
 }
 
-/** Records the draw index of every two-phase commit on this thread. */
-struct TraceRecorder : task::CommitObserver
+/**
+ * Records the schedule supply's draw-call cursor at every `instant` —
+ * the task commits or delivery boundaries the commit-targeted
+ * schedule generators aim at.
+ */
+class DrawCursorProbe final : public arch::TraceProbe
 {
-    std::vector<u64> commits;
+  public:
+    explicit DrawCursorProbe(arch::ProbeInstant instant)
+        : instant_(instant)
+    {
+    }
 
     void
-    onCommit(arch::Device &dev, task::TaskId) override
+    onInstant(const arch::Device &dev, arch::ProbeInstant instant,
+              u32) override
     {
         // dev.power() settles the open lease first, so drawsSoFar is
         // the exact draw-call cursor in either accounting mode.
-        commits.push_back(
-            static_cast<arch::SchedulePower &>(dev.power())
-                .drawsSoFar());
-    }
-};
-
-/** RAII install/restore of the thread commit observer. */
-struct ObserverGuard
-{
-    explicit ObserverGuard(task::CommitObserver *observer)
-        : previous_(task::setThreadCommitObserver(observer))
-    {
+        if (instant == instant_)
+            cursors.push_back(
+                static_cast<const arch::SchedulePower &>(dev.power())
+                    .drawsSoFar());
     }
 
-    ~ObserverGuard() { task::setThreadCommitObserver(previous_); }
-
-    ObserverGuard(const ObserverGuard &) = delete;
-    ObserverGuard &operator=(const ObserverGuard &) = delete;
+    std::vector<u64> cursors;
 
   private:
-    task::CommitObserver *previous_;
+    arch::ProbeInstant instant_;
 };
+
+/** A finished harness run. */
+struct HarnessRun
+{
+    Observation obs;
+    u64 draws = 0; ///< the schedule supply's draw-call count
+};
+
+/**
+ * The oracle's one run harness: a fresh device powered by `schedule`
+ * runs `body` (an inference or a pipeline round over the workload's
+ * network, returning its outcome fields) with `probe` as its only
+ * observer, and is observed once the body returns. With
+ * `capture_digests` the probe is the per-reboot NVM digest chain and
+ * the final FRAM digest is taken too, so no other probe may be given.
+ */
+template <class Body>
+HarnessRun
+harness(const LocalWorkload &workload, const Schedule &schedule,
+        arch::TraceProbe *probe, bool capture_digests, Body &&body)
+{
+    SONIC_ASSERT(probe == nullptr || !capture_digests,
+                 "a device has one probe");
+    arch::NvmDigestChain chain;
+    arch::Device dev(app::makeProfile(workload.profile),
+                     std::make_unique<arch::SchedulePower>(schedule));
+    dev.setProbe(capture_digests ? &chain : probe);
+    dnn::DeviceNetwork net(dev, workload.net);
+
+    HarnessRun run;
+    run.obs = body(net);
+    run.obs.cycles = dev.cycles();
+    for (u32 o = 0; o < arch::kNumOps; ++o)
+        run.obs.opInstances +=
+            dev.stats().opCount(static_cast<arch::Op>(o));
+    const auto &psu =
+        static_cast<const arch::SchedulePower &>(dev.power());
+    run.obs.fired = psu.firedCount();
+    run.draws = psu.drawsSoFar();
+    if (capture_digests) {
+        run.obs.finalNvmDigest = dev.nvmDigest();
+        run.obs.rebootDigests = std::move(chain.digests);
+    }
+    return run;
+}
+
+/** One inference of a local workload on the harness's network. */
+Observation
+infer(dnn::DeviceNetwork &net, const LocalWorkload &workload)
+{
+    net.loadInput(workload.input);
+    const auto run = kernels::runInference(net, workload.impl);
+    Observation o;
+    o.completed = run.completed;
+    o.nonTerminating = run.nonTerminating;
+    o.reboots = run.reboots;
+    o.logits = run.logits;
+    return o;
+}
+
+HarnessRun
+runLocal(const LocalWorkload &workload, const Schedule &schedule,
+         arch::TraceProbe *probe, bool capture_digests = false)
+{
+    return harness(workload, schedule, probe, capture_digests,
+                   [&workload](dnn::DeviceNetwork &net) {
+                       return infer(net, workload);
+                   });
+}
+
+HarnessRun
+runPipeline(const PipelineWorkload &workload, const Schedule &schedule,
+            arch::TraceProbe *probe, bool capture_digests = false)
+{
+    return harness(
+        workload.base, schedule, probe, capture_digests,
+        [&workload](dnn::DeviceNetwork &net) {
+            const auto round = pipeline::runRound(
+                net, workload.base.impl, workload.base.input,
+                workload.spec, workload.seed, workload.roundIndex);
+            Observation o;
+            o.completed = round.completed;
+            o.nonTerminating = round.nonTerminating;
+            o.reboots = round.reboots;
+            o.logits = round.logits;
+            o.delivered = round.delivered ? 1 : 0;
+            o.txAttempts = round.txAttempts;
+            o.txRetries = round.txFailedAttempts;
+            return o;
+        });
+}
 
 std::string
 hex64(u64 v)
@@ -118,28 +198,7 @@ Observation
 runSchedule(const LocalWorkload &workload, const Schedule &schedule,
             bool capture_digests)
 {
-    arch::Device dev(app::makeProfile(workload.profile),
-                     std::make_unique<arch::SchedulePower>(schedule));
-    Observation o;
-    if (capture_digests) {
-        dev.setRebootHook([&o](arch::Device &d, u64) {
-            o.rebootDigests.push_back(d.nvmDigest());
-        });
-    }
-    dnn::DeviceNetwork net(dev, workload.net);
-    net.loadInput(workload.input);
-    const auto run = kernels::runInference(net, workload.impl);
-    o.completed = run.completed;
-    o.nonTerminating = run.nonTerminating;
-    o.reboots = run.reboots;
-    o.logits = run.logits;
-    o.cycles = dev.cycles();
-    o.opInstances = sumOpInstances(dev);
-    o.fired = static_cast<const arch::SchedulePower &>(dev.power())
-                  .firedCount();
-    if (capture_digests)
-        o.finalNvmDigest = dev.nvmDigest();
-    return o;
+    return runLocal(workload, schedule, nullptr, capture_digests).obs;
 }
 
 RunScheduleFn
@@ -153,94 +212,22 @@ localRunner(const LocalWorkload &workload, bool capture_digests)
 std::vector<u64>
 recordCommitTrace(const LocalWorkload &workload, u64 *total_draws)
 {
-    arch::Device dev(app::makeProfile(workload.profile),
-                     std::make_unique<arch::SchedulePower>(Schedule{}));
-    dnn::DeviceNetwork net(dev, workload.net);
-    net.loadInput(workload.input);
-    TraceRecorder recorder;
-    ObserverGuard guard(&recorder);
-    const auto run = kernels::runInference(net, workload.impl);
-    SONIC_ASSERT(run.completed,
+    DrawCursorProbe commits(arch::ProbeInstant::TaskCommit);
+    const HarnessRun run = runLocal(workload, {}, &commits);
+    SONIC_ASSERT(run.obs.completed,
                  "commit-trace reference run must complete");
-    if (total_draws != nullptr) {
-        *total_draws =
-            static_cast<const arch::SchedulePower &>(dev.power())
-                .drawsSoFar();
-    }
-    return std::move(recorder.commits);
+    if (total_draws != nullptr)
+        *total_draws = run.draws;
+    return std::move(commits.cursors);
 }
 
 // --- Pipeline path --------------------------------------------------
-
-namespace
-{
-
-/** Records the draw index of every delivery boundary on this thread. */
-struct TxBoundaryRecorder : pipeline::TxBoundaryObserver
-{
-    std::vector<u64> boundaries;
-
-    void
-    onBoundary(arch::Device &dev, pipeline::TxBoundary) override
-    {
-        boundaries.push_back(
-            static_cast<arch::SchedulePower &>(dev.power())
-                .drawsSoFar());
-    }
-};
-
-/** RAII install/restore of the thread TX-boundary observer. */
-struct TxObserverGuard
-{
-    explicit TxObserverGuard(pipeline::TxBoundaryObserver *observer)
-        : previous_(pipeline::setThreadTxBoundaryObserver(observer))
-    {
-    }
-
-    ~TxObserverGuard()
-    {
-        pipeline::setThreadTxBoundaryObserver(previous_);
-    }
-
-    TxObserverGuard(const TxObserverGuard &) = delete;
-    TxObserverGuard &operator=(const TxObserverGuard &) = delete;
-
-  private:
-    pipeline::TxBoundaryObserver *previous_;
-};
-
-} // namespace
 
 Observation
 runPipelineSchedule(const PipelineWorkload &workload,
                     const Schedule &schedule, bool capture_digests)
 {
-    arch::Device dev(app::makeProfile(workload.base.profile),
-                     std::make_unique<arch::SchedulePower>(schedule));
-    Observation o;
-    if (capture_digests) {
-        dev.setRebootHook([&o](arch::Device &d, u64) {
-            o.rebootDigests.push_back(d.nvmDigest());
-        });
-    }
-    dnn::DeviceNetwork net(dev, workload.base.net);
-    const auto round = pipeline::runRound(
-        net, workload.base.impl, workload.base.input, workload.spec,
-        workload.seed, workload.roundIndex);
-    o.completed = round.completed;
-    o.nonTerminating = round.nonTerminating;
-    o.reboots = round.reboots;
-    o.logits = round.logits;
-    o.delivered = round.delivered ? 1 : 0;
-    o.txAttempts = round.txAttempts;
-    o.txRetries = round.txFailedAttempts;
-    o.cycles = dev.cycles();
-    o.opInstances = sumOpInstances(dev);
-    o.fired = static_cast<const arch::SchedulePower &>(dev.power())
-                  .firedCount();
-    if (capture_digests)
-        o.finalNvmDigest = dev.nvmDigest();
-    return o;
+    return runPipeline(workload, schedule, nullptr, capture_digests).obs;
 }
 
 RunScheduleFn
@@ -256,22 +243,13 @@ std::vector<u64>
 recordTxBoundaryTrace(const PipelineWorkload &workload,
                       u64 *total_draws)
 {
-    arch::Device dev(app::makeProfile(workload.base.profile),
-                     std::make_unique<arch::SchedulePower>(Schedule{}));
-    dnn::DeviceNetwork net(dev, workload.base.net);
-    TxBoundaryRecorder recorder;
-    TxObserverGuard guard(&recorder);
-    const auto round = pipeline::runRound(
-        net, workload.base.impl, workload.base.input, workload.spec,
-        workload.seed, workload.roundIndex);
-    SONIC_ASSERT(round.completed,
+    DrawCursorProbe boundaries(arch::ProbeInstant::TxBoundary);
+    const HarnessRun run = runPipeline(workload, {}, &boundaries);
+    SONIC_ASSERT(run.obs.completed,
                  "TX-boundary reference round must complete");
-    if (total_draws != nullptr) {
-        *total_draws =
-            static_cast<const arch::SchedulePower &>(dev.power())
-                .drawsSoFar();
-    }
-    return std::move(recorder.boundaries);
+    if (total_draws != nullptr)
+        *total_draws = run.draws;
+    return std::move(boundaries.cursors);
 }
 
 OracleReport
@@ -746,15 +724,7 @@ dumpScheduleTrace(const LocalWorkload &workload,
                   std::string *error)
 {
     trace::TraceRecorder recorder(0);
-    {
-        arch::Device dev(
-            app::makeProfile(workload.profile),
-            std::make_unique<arch::SchedulePower>(schedule));
-        dev.setProbe(&recorder);
-        dnn::DeviceNetwork net(dev, workload.net);
-        net.loadInput(workload.input);
-        (void)kernels::runInference(net, workload.impl);
-    }
+    (void)runLocal(workload, schedule, &recorder);
     return writeRecorderTrace(recorder, path, error);
 }
 
@@ -764,16 +734,7 @@ dumpPipelineScheduleTrace(const PipelineWorkload &workload,
                           const std::string &path, std::string *error)
 {
     trace::TraceRecorder recorder(0);
-    {
-        arch::Device dev(
-            app::makeProfile(workload.base.profile),
-            std::make_unique<arch::SchedulePower>(schedule));
-        dev.setProbe(&recorder);
-        dnn::DeviceNetwork net(dev, workload.base.net);
-        (void)pipeline::runRound(net, workload.base.impl,
-                                 workload.base.input, workload.spec,
-                                 workload.seed, workload.roundIndex);
-    }
+    (void)runPipeline(workload, schedule, &recorder);
     return writeRecorderTrace(recorder, path, error);
 }
 
@@ -783,48 +744,39 @@ namespace
 /** Continuous golden run with per-layer stat digests. */
 struct GoldenContinuous
 {
-    Observation obs;
-    u64 draws = 0;
+    HarnessRun run;
     std::vector<std::pair<std::string, u64>> layerDigests;
 };
 
 GoldenContinuous
 goldenContinuousRun(const LocalWorkload &workload)
 {
-    arch::Device dev(app::makeProfile(workload.profile),
-                     std::make_unique<arch::SchedulePower>(Schedule{}));
-    dnn::DeviceNetwork net(dev, workload.net);
-    net.loadInput(workload.input);
-    const auto run = kernels::runInference(net, workload.impl);
-    SONIC_ASSERT(run.completed, "golden continuous run must complete");
-
     GoldenContinuous g;
-    g.obs.completed = run.completed;
-    g.obs.reboots = run.reboots;
-    g.obs.logits = run.logits;
-    g.obs.cycles = dev.cycles();
-    g.obs.opInstances = sumOpInstances(dev);
-    g.obs.finalNvmDigest = dev.nvmDigest();
-    g.draws = static_cast<const arch::SchedulePower &>(dev.power())
-                  .drawsSoFar();
-
-    const auto &stats = dev.stats();
-    for (u16 l = 0; l < stats.numLayers(); ++l) {
-        arch::NvmDigest d;
-        const std::string &name = stats.layerName(l);
-        d.word(name.size());
-        for (char c : name)
-            d.word(static_cast<u64>(static_cast<unsigned char>(c)));
-        for (u32 p = 0; p < arch::kNumParts; ++p) {
-            const auto &bucket =
-                stats.bucket(l, static_cast<arch::Part>(p));
-            for (u32 o = 0; o < arch::kNumOps; ++o) {
-                d.word(bucket.count[o]);
-                d.word(bucket.cycles[o]);
+    g.run = harness(
+        workload, {}, nullptr, true, [&](dnn::DeviceNetwork &net) {
+            Observation o = infer(net, workload);
+            const auto &stats = net.dev().stats();
+            for (u16 l = 0; l < stats.numLayers(); ++l) {
+                arch::NvmDigest d;
+                const std::string &name = stats.layerName(l);
+                d.word(name.size());
+                for (char c : name)
+                    d.word(static_cast<u64>(
+                        static_cast<unsigned char>(c)));
+                for (u32 p = 0; p < arch::kNumParts; ++p) {
+                    const auto &bucket =
+                        stats.bucket(l, static_cast<arch::Part>(p));
+                    for (u32 op = 0; op < arch::kNumOps; ++op) {
+                        d.word(bucket.count[op]);
+                        d.word(bucket.cycles[op]);
+                    }
+                }
+                g.layerDigests.emplace_back(name, d.value());
             }
-        }
-        g.layerDigests.emplace_back(name, d.value());
-    }
+            return o;
+        });
+    SONIC_ASSERT(g.run.obs.completed,
+                 "golden continuous run must complete");
     return g;
 }
 
@@ -852,29 +804,31 @@ goldenJson(const GoldenConfig &config)
         workload.input = goldenInput();
         workload.impl = impl;
 
-        const GoldenContinuous cont = goldenContinuousRun(workload);
+        const GoldenContinuous golden = goldenContinuousRun(workload);
+        const Observation &cont = golden.run.obs;
         os << (first_impl ? "\n" : ",\n");
         first_impl = false;
         os << "    {\"name\": \"" << info->name
            << "\", \"crashConsistent\": "
            << (info->crashConsistent ? "true" : "false")
-           << ",\n     \"continuous\": {\"cycles\": " << cont.obs.cycles
-           << ", \"opInstances\": " << cont.obs.opInstances
-           << ", \"draws\": " << cont.draws << ",\n       \"logits\": ";
-        appendLogitArray(os, cont.obs.logits);
+           << ",\n     \"continuous\": {\"cycles\": " << cont.cycles
+           << ", \"opInstances\": " << cont.opInstances
+           << ", \"draws\": " << golden.run.draws
+           << ",\n       \"logits\": ";
+        appendLogitArray(os, cont.logits);
         os << ", \"finalNvmDigest\": \""
-           << hex64(cont.obs.finalNvmDigest) << "\",\n       \"layers\": [";
-        for (u64 l = 0; l < cont.layerDigests.size(); ++l) {
+           << hex64(cont.finalNvmDigest) << "\",\n       \"layers\": [";
+        for (u64 l = 0; l < golden.layerDigests.size(); ++l) {
             os << (l ? ", " : "") << "{\"name\": \""
-               << cont.layerDigests[l].first << "\", \"digest\": \""
-               << hex64(cont.layerDigests[l].second) << "\"}";
+               << golden.layerDigests[l].first << "\", \"digest\": \""
+               << hex64(golden.layerDigests[l].second) << "\"}";
         }
         os << "]},\n     \"schedules\": [";
 
         ScheduleGenConfig gen;
         gen.seed = config.scheduleSeed
             ^ (static_cast<u64>(impl) * 0x9e3779b97f4a7c15ull);
-        gen.opHorizon = cont.draws;
+        gen.opHorizon = golden.run.draws;
         gen.maxFailures = config.maxFailures;
         const auto schedules =
             uniformSchedules(config.schedulesPerImpl, gen);
@@ -888,7 +842,7 @@ goldenJson(const GoldenConfig &config)
                << o.reboots << ", \"completed\": "
                << (o.completed ? "true" : "false")
                << ", \"logitsMatchContinuous\": "
-               << (o.completed && o.logits == cont.obs.logits
+               << (o.completed && o.logits == cont.logits
                        ? "true"
                        : "false")
                << ",\n        \"finalNvmDigest\": \""

@@ -585,16 +585,24 @@ TEST(NvmDigest, CapturesFramChangesAndNothingElse)
     EXPECT_NE(dev.nvmDigest(), initial);
 }
 
-TEST(NvmDigest, RebootHookSnapshotsEveryReboot)
+TEST(NvmDigest, DigestChainSnapshotsEveryReboot)
 {
+    /** The digest chain, checking each reboot arrives 1-based and in
+     * order before it is snapshotted. */
+    struct CheckedChain : NvmDigestChain
+    {
+        void
+        onReboot(const Device &d, u64 index) override
+        {
+            EXPECT_EQ(index, digests.size() + 1);
+            NvmDigestChain::onReboot(d, index);
+            EXPECT_EQ(digests.back(), d.nvmDigest());
+        }
+    } chain;
     Device dev(EnergyProfile::msp430fr5994(),
                std::make_unique<FailEveryOps>(3));
+    dev.setProbe(&chain);
     NvArray<i16> fram(dev, 4, "nv");
-    std::vector<u64> chain;
-    dev.setRebootHook([&chain](Device &d, u64 index) {
-        EXPECT_EQ(index, chain.size() + 1);
-        chain.push_back(d.nvmDigest());
-    });
     for (u32 i = 0; i < 9; ++i) {
         try {
             fram.write(i % 4, static_cast<i16>(i));
@@ -602,8 +610,8 @@ TEST(NvmDigest, RebootHookSnapshotsEveryReboot)
             dev.reboot();
         }
     }
-    EXPECT_EQ(chain.size(), dev.rebootCount());
-    EXPECT_GT(chain.size(), 1u);
+    EXPECT_EQ(chain.digests.size(), dev.rebootCount());
+    EXPECT_GT(chain.digests.size(), 1u);
 }
 
 TEST(Device, BucketCacheSurvivesLayerRegistration)

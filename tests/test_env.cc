@@ -625,6 +625,15 @@ TEST(Traces, JsonParsesAndRejectsCorruption)
     EXPECT_NE(error.find("unsupported trace format version 9"),
               std::string::npos);
 
+    // A version far outside u32 is rejected as a value, never cast.
+    EXPECT_FALSE(parseTraceJson(
+        "{\"format\": \"sonic-trace\", \"version\": 1e300, "
+        "\"points\": [[0, 1], [1, 1]]}",
+        &model, &error));
+    EXPECT_NE(error.find("\"version\" is not an unsigned integer"),
+              std::string::npos)
+        << error;
+
     EXPECT_FALSE(parseTraceJson(
         "{\"format\": \"sonic-trace\", \"version\": 1, "
         "\"points\": [[0, 1], [1]]}",

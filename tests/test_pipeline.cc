@@ -322,5 +322,22 @@ TEST(PipelineOracle, TxBoundaryTraceSeesEveryBoundary)
     EXPECT_LT(boundaries[1], total);
 }
 
+TEST(PipelineOracle, TxBoundaryTracePinned)
+{
+    // Exact delivery-boundary draw coordinates and draw total of the
+    // lossless wildlife round, pinned before the boundary recorder
+    // moved onto the device's trace probe.
+    verify::PipelineWorkload workload;
+    workload.base.net = testutil::tinyNet();
+    workload.base.input = testutil::tinyInput();
+    workload.base.impl = kernels::Impl::Sonic;
+    workload.spec = PipelineRegistry::instance().get("wildlife");
+    u64 total = 0;
+    const auto boundaries = verify::recordTxBoundaryTrace(
+        workload, &total);
+    EXPECT_EQ(boundaries, (std::vector<u64>{3030, 3038}));
+    EXPECT_EQ(total, 3040u);
+}
+
 } // namespace
 } // namespace sonic::pipeline

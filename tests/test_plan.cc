@@ -212,6 +212,49 @@ TEST(Plan, JsonRoundTripIsExact)
     EXPECT_FALSE(plan::Plan::fromJson(foreign.toJson(), &q, &error));
 }
 
+TEST(Plan, FromJsonRejectsScenarioOutsideFlagRanges)
+{
+    // A plan file must not carry a scenario the fleet CLI refuses as
+    // flags: devices >= 1 and a finite horizon within the --horizon
+    // bounds. Outside them, fromJson diagnoses instead of handing
+    // FleetPlan::validate a plan it would abort on.
+    plan::Plan p;
+    p.scenario = "unit";
+    p.devices = 4;
+    p.horizonSeconds = 3600.0;
+    p.profile = "standard";
+    p.nets = {"HAR"};
+    p.impls = {"SONIC"};
+    p.envLabels = {"solar"};
+    p.pipelines = {"infer-only"};
+    plan::PlanChoice choice;
+    choice.envLabel = "solar";
+    choice.net = "HAR";
+    choice.pipeline = "infer-only";
+    choice.impl = "SONIC";
+    p.choices.push_back(choice);
+
+    plan::Plan q;
+    std::string error;
+    ASSERT_TRUE(plan::Plan::fromJson(p.toJson(), &q, &error)) << error;
+
+    plan::Plan no_devices = p;
+    no_devices.devices = 0;
+    EXPECT_FALSE(plan::Plan::fromJson(no_devices.toJson(), &q, &error));
+    EXPECT_NE(error.find("devices must be at least 1"),
+              std::string::npos)
+        << error;
+
+    for (const f64 horizon : {0.0, -1.0, 1e300}) {
+        plan::Plan bad = p;
+        bad.horizonSeconds = horizon;
+        EXPECT_FALSE(plan::Plan::fromJson(bad.toJson(), &q, &error))
+            << horizon;
+        EXPECT_NE(error.find("horizonSeconds"), std::string::npos)
+            << error;
+    }
+}
+
 TEST(Plan, FleetPlanHonorsChoicesAndPreservesDeals)
 {
     fleet::FleetPlan base = twoByTwoScenario();

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include "tests/test_helpers.hh"
 #include "verify/oracle.hh"
 #include "verify/workload.hh"
 
@@ -120,6 +121,34 @@ TEST(CommitTrace, RecordsMonotoneInHorizonCommits)
         EXPECT_LT(commits[i], draws);
         if (i > 0)
             EXPECT_LE(commits[i - 1], commits[i]);
+    }
+}
+
+TEST(CommitTrace, PinnedPerImpl)
+{
+    // Exact commit draw coordinates and draw horizon of every golden
+    // implementation: FNV-1a over the raw u64 indices, chained through
+    // the horizon. Pinned before the commit recorder moved onto the
+    // device's trace probe; any change to where commits land moves it.
+    const std::pair<kernels::Impl, u64> pins[] = {
+        {kernels::Impl::Base, 0x100e618a7f633f91ull},
+        {kernels::Impl::Tile8, 0x3ecfa52f7fb00d45ull},
+        {kernels::Impl::Tile32, 0xc0393755f24ec45bull},
+        {kernels::Impl::Tile128, 0x8aff26f64fd3ee46ull},
+        {kernels::Impl::Sonic, 0xfc18d11f2bc32296ull},
+        {kernels::Impl::Tails, 0xfc353f2f4ec0c10full}};
+    for (const auto &[impl, pin] : pins) {
+        u64 draws = 0;
+        const auto commits =
+            recordCommitTrace(goldenWorkload(impl), &draws);
+        const u64 digest = testutil::bitDigest(
+            &draws, sizeof draws,
+            testutil::bitDigest(commits.data(),
+                                commits.size() * sizeof(u64)));
+        EXPECT_EQ(digest, pin)
+            << kernels::implName(impl) << ": " << commits.size()
+            << " commits, horizon " << draws << ", digest 0x"
+            << std::hex << digest;
     }
 }
 
