@@ -20,19 +20,70 @@ nameHash(const std::string &name)
 
 } // namespace
 
+std::string
+checkNets(const std::vector<dnn::NetRef> &nets)
+{
+    auto &zoo = dnn::ModelZoo::instance();
+    for (const auto &name : nets) {
+        if (!zoo.contains(name))
+            return "unknown model '" + name
+                + "' in the sweep net axis; registered models: "
+                + zoo.availableList();
+    }
+    return {};
+}
+
+std::string
+resolveImplNames(const std::vector<std::string> &names,
+                 std::vector<kernels::Impl> *ids)
+{
+    ids->clear();
+    for (const auto &name : names) {
+        const auto *info = kernels::ImplRegistry::instance().find(name);
+        if (info == nullptr)
+            return "unknown implementation '" + name + "'";
+        ids->push_back(info->id);
+    }
+    return {};
+}
+
+std::string
+checkEnvironments(const std::vector<env::EnvRef> &refs)
+{
+    auto &registry = env::EnvRegistry::instance();
+    for (const auto &ref : refs) {
+        if (!ref.empty() && !registry.contains(ref.env))
+            return "unknown environment '" + ref.env
+                + "' in the sweep environment axis; registered "
+                  "environments: "
+                + registry.availableList();
+    }
+    return {};
+}
+
+std::string
+resolveEnvironmentLabels(const std::vector<std::string> &labels,
+                         std::vector<env::EnvRef> *refs)
+{
+    refs->clear();
+    for (const auto &label : labels) {
+        env::EnvRef ref;
+        std::string error;
+        if (!env::parseEnvRef(label, &ref, &error))
+            return error;
+        refs->push_back(std::move(ref));
+    }
+    return checkEnvironments(*refs);
+}
+
 SweepPlan &
 SweepPlan::nets(std::vector<dnn::NetRef> values)
 {
     SONIC_ASSERT(!values.empty(), "empty net axis");
     // Validate at plan-build, not mid-sweep: a typo should fail before
     // any worker thread spins up, with the remedy in the message.
-    auto &zoo = dnn::ModelZoo::instance();
-    for (const auto &name : values) {
-        if (!zoo.contains(name))
-            fatal("unknown model '", name,
-                  "' in the sweep net axis; registered models: ",
-                  zoo.availableList());
-    }
+    if (const std::string error = checkNets(values); !error.empty())
+        fatal(error);
     nets_ = std::move(values);
     return *this;
 }
@@ -55,13 +106,9 @@ SweepPlan &
 SweepPlan::implNames(const std::vector<std::string> &names)
 {
     std::vector<kernels::Impl> ids;
-    ids.reserve(names.size());
-    for (const auto &name : names) {
-        const auto *info = kernels::ImplRegistry::instance().find(name);
-        if (info == nullptr)
-            fatal("unknown implementation '", name, "'");
-        ids.push_back(info->id);
-    }
+    if (const std::string error = resolveImplNames(names, &ids);
+        !error.empty())
+        fatal(error);
     return impls(std::move(ids));
 }
 
@@ -92,14 +139,9 @@ SweepPlan::environments(std::vector<env::EnvRef> values)
     SONIC_ASSERT(!values.empty(), "empty environment axis");
     // Validate at plan-build: a typo should fail before any worker
     // spins up, naming the registered environments.
-    auto &registry = env::EnvRegistry::instance();
-    for (const auto &ref : values) {
-        if (!ref.empty() && !registry.contains(ref.env))
-            fatal("unknown environment '", ref.env,
-                  "' in the sweep environment axis; registered "
-                  "environments: ",
-                  registry.availableList());
-    }
+    if (const std::string error = checkEnvironments(values);
+        !error.empty())
+        fatal(error);
     environments_ = std::move(values);
     return *this;
 }
@@ -108,14 +150,9 @@ SweepPlan &
 SweepPlan::environmentLabels(const std::vector<std::string> &labels)
 {
     std::vector<env::EnvRef> refs;
-    refs.reserve(labels.size());
-    for (const auto &label : labels) {
-        env::EnvRef ref;
-        std::string error;
-        if (!env::parseEnvRef(label, &ref, &error))
-            fatal(error);
-        refs.push_back(std::move(ref));
-    }
+    if (const std::string error = resolveEnvironmentLabels(labels, &refs);
+        !error.empty())
+        fatal(error);
     return environments(std::move(refs));
 }
 

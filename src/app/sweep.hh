@@ -33,6 +33,24 @@
 namespace sonic::app
 {
 
+/**
+ * @name Axis name checks
+ * What SweepPlan's name-taking setters check, for callers that report
+ * a bad user-typed name themselves (the CLIs exit 2 on one). Each
+ * returns "" when every name resolves, else the diagnostic the setter
+ * fatal()s with.
+ */
+/// @{
+std::string checkNets(const std::vector<dnn::NetRef> &nets);
+/** Registry ids of names, into *ids. */
+std::string resolveImplNames(const std::vector<std::string> &names,
+                             std::vector<kernels::Impl> *ids);
+std::string checkEnvironments(const std::vector<env::EnvRef> &refs);
+/** Parsed and checked labels ("solar", "rf-paper@50mF"), into *refs. */
+std::string resolveEnvironmentLabels(
+    const std::vector<std::string> &labels, std::vector<env::EnvRef> *refs);
+/// @}
+
 /** Builder for a cross-product grid of RunSpecs. */
 class SweepPlan
 {

@@ -66,6 +66,17 @@ usage()
     return 2;
 }
 
+/** Print an axis check's diagnostic; true if there was one (a bad
+ * name is a usage error, exit 2). */
+bool
+badName(const std::string &error)
+{
+    if (error.empty())
+        return false;
+    std::cerr << error << "\n";
+    return true;
+}
+
 } // namespace
 
 int
@@ -103,31 +114,43 @@ main(int argc, char **argv)
         if (consumeFlag(arg, "--from-plan", &value)) {
             continue; // handled above
         } else if (consumeFlag(arg, "--nets", &value)) {
-            std::vector<dnn::NetRef> nets;
-            for (const auto &name : splitCsv(value))
-                nets.push_back(name);
+            std::vector<dnn::NetRef> nets = splitCsv(value);
+            if (badName(app::checkNets(nets)))
+                return 2;
             plan.nets(std::move(nets));
         } else if (consumeFlag(arg, "--impls", &value)) {
-            plan.implNames(splitCsv(value));
+            std::vector<kernels::Impl> ids;
+            if (badName(app::resolveImplNames(splitCsv(value), &ids)))
+                return 2;
+            plan.impls(std::move(ids));
         } else if (consumeFlag(arg, "--power", &value)) {
             std::vector<app::PowerKind> kinds;
             for (const auto &name : splitCsv(value)) {
                 app::PowerKind kind;
-                if (!app::powerFromName(name, &kind))
-                    fatal("unknown power kind '", name,
-                          "' (Continuous | 50mF | 1mF | 100uF)");
+                if (!app::powerFromName(name, &kind)) {
+                    std::cerr << "unknown power kind '" << name
+                              << "' (Continuous | 50mF | 1mF | "
+                                 "100uF)\n";
+                    return 2;
+                }
                 kinds.push_back(kind);
             }
             plan.power(std::move(kinds));
         } else if (consumeFlag(arg, "--envs", &value)) {
-            plan.environmentLabels(splitCsv(value));
+            std::vector<env::EnvRef> refs;
+            if (badName(app::resolveEnvironmentLabels(splitCsv(value),
+                                                      &refs)))
+                return 2;
+            plan.environments(std::move(refs));
         } else if (consumeFlag(arg, "--profiles", &value)) {
             std::vector<app::ProfileVariant> variants;
             for (const auto &name : splitCsv(value)) {
                 app::ProfileVariant variant;
-                if (!app::profileFromName(name, &variant))
-                    fatal("unknown profile '", name,
-                          "' (standard | no-lea | no-dma)");
+                if (!app::profileFromName(name, &variant)) {
+                    std::cerr << "unknown profile '" << name
+                              << "' (standard | no-lea | no-dma)\n";
+                    return 2;
+                }
                 variants.push_back(variant);
             }
             plan.profiles(std::move(variants));

@@ -25,6 +25,7 @@
 #include "dnn/device_net.hh"
 #include "dnn/model_io.hh"
 #include "dnn/zoo.hh"
+#include "kernels/runner.hh"
 #include "util/cli.hh"
 #include "util/logging.hh"
 #include "verify/oracle.hh"
@@ -151,7 +152,8 @@ exportAll(const std::string &dir)
 }
 
 int
-smoke(const std::string &dir, const std::vector<std::string> &impl_names)
+smoke(const std::string &dir,
+      const std::vector<const kernels::ImplInfo *> &impls)
 {
     if (const int rc = exportAll(dir); rc != 0)
         return rc;
@@ -179,11 +181,8 @@ smoke(const std::string &dir, const std::vector<std::string> &impl_names)
 
         const auto input = dnn::DeviceNetwork::quantizeInput(
             entry.dataset()[0].input);
-        for (const auto &impl_name : impl_names) {
-            const auto *info =
-                kernels::ImplRegistry::instance().find(impl_name);
-            if (info == nullptr)
-                fatal("unknown implementation '", impl_name, "'");
+        for (const kernels::ImplInfo *info : impls) {
+            const std::string &impl_name = info->name;
             const auto original =
                 observe(entry.compressed(), input, info->id);
             const auto reloaded = observe(*loaded, input, info->id);
@@ -202,10 +201,10 @@ smoke(const std::string &dir, const std::vector<std::string> &impl_names)
             ++checks;
         }
         std::cout << name << ": reload bit-identical across "
-                  << impl_names.size() << " kernels\n";
+                  << impls.size() << " kernels\n";
     }
     std::cout << "zoo smoke ok: " << zoo.names().size() << " models x "
-              << impl_names.size() << " kernels, " << checks
+              << impls.size() << " kernels, " << checks
               << " round-trip checks\n";
     return 0;
 }
@@ -256,10 +255,21 @@ main(int argc, char **argv)
     }
 
     if (!args.smokeDir.empty()) {
-        std::vector<std::string> impls = args.impls;
-        if (impls.empty())
-            impls.assign(std::begin(kDefaultImpls),
+        std::vector<std::string> names = args.impls;
+        if (names.empty())
+            names.assign(std::begin(kDefaultImpls),
                          std::end(kDefaultImpls));
+        // Resolved before anything is exported: a bad name is a usage
+        // error (exit 2).
+        std::vector<const kernels::ImplInfo *> impls;
+        for (const auto &name : names) {
+            impls.push_back(kernels::ImplRegistry::instance().find(name));
+            if (impls.back() == nullptr) {
+                std::cerr << "unknown implementation '" << name
+                          << "'\n";
+                return 2;
+            }
+        }
         return smoke(args.smokeDir, impls);
     }
 

@@ -1,7 +1,9 @@
 #include "dnn/dataset.hh"
 
 #include <algorithm>
+#include <type_traits>
 
+#include "dnn/label_table.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
 #include "util/rng.hh"
@@ -89,10 +91,62 @@ makeDataset(const NetworkSpec &teacher, u32 n, u64 seed)
         }
         sample.input = std::move(x);
     }
+    const u64 key = labelKey(teacher, data);
+    for (const TabledLabels &tabled : tabledLabels()) {
+        if (tabled.key == key && tabled.count == n) {
+            for (u32 i = 0; i < n; ++i)
+                data[i].label = tabled.labels[i];
+            return data;
+        }
+    }
     util::parallelFor(n, util::coldStartWorkers(), [&](u64 i, u32) {
         data[i].label = teacher.classify(data[i].input);
     });
     return data;
+}
+
+u64
+labelKey(const NetworkSpec &teacher, const Dataset &data)
+{
+    u64 h = kDigestBasis;
+    const auto words = [&h](std::initializer_list<u64> values) {
+        for (u64 v : values)
+            h = wordDigest(v, h);
+    };
+    const auto vec = [&h](const std::vector<f64> &v) {
+        h = wordDigest(v.size(), h);
+        h = wordDigest(v.data(), v.size(), h);
+    };
+    words({teacher.input.c, teacher.input.h, teacher.input.w,
+           teacher.numClasses, teacher.layers.size()});
+    for (const auto &layer : teacher.layers) {
+        words({layer.op.index(), layer.reluAfter, layer.poolAfter});
+        std::visit(
+            [&](const auto &op) {
+                using Op = std::decay_t<decltype(op)>;
+                if constexpr (std::is_same_v<Op, FactoredConvLayer>) {
+                    vec(op.mix);
+                    vec(op.col);
+                    vec(op.row);
+                    vec(op.scale);
+                } else if constexpr (requires { op.filters; }) {
+                    words({op.filters.outChannels, op.filters.inChannels,
+                           op.filters.kh, op.filters.kw});
+                    vec(op.filters.data);
+                } else {
+                    words({op.weights.rows(), op.weights.cols()});
+                    vec(op.weights.data());
+                }
+            },
+            layer.op);
+    }
+    words({data.size()});
+    for (const auto &sample : data) {
+        words({sample.input.channels, sample.input.height,
+               sample.input.width});
+        vec(sample.input.data);
+    }
+    return h;
 }
 
 f64

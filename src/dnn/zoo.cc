@@ -31,14 +31,8 @@ ModelEntry::ModelEntry(std::string name, ModelMeta meta, ModelDef def)
         // weight storage in the closure.
         teacherAt_ = [this](u64) { return teacher_; };
     }
-    if (def.withKnobs) {
-        withKnobs_ = std::move(def.withKnobs);
-    } else {
-        withKnobs_ = [teacherAt = teacherAt_](const CompressionKnobs &k,
-                                              u64 seed) {
-            return compressGeneric(teacherAt(seed), k);
-        };
-    }
+    withKnobs_ = def.withKnobs ? std::move(def.withKnobs)
+                               : compressGeneric;
     datasetBuilder_ = std::move(def.dataset);
 }
 
@@ -102,9 +96,9 @@ ModelZoo::ModelZoo()
             def.teacherAt = [id](u64 seed) {
                 return buildTeacher(id, seed);
             };
-            def.withKnobs = [id](const CompressionKnobs &knobs,
-                                 u64 seed) {
-                return compressTeacher(id, buildTeacher(id, seed), knobs);
+            def.withKnobs = [id](const NetworkSpec &teacher,
+                                 const CompressionKnobs &knobs) {
+                return compressTeacher(id, teacher, knobs);
             };
             return def;
         });

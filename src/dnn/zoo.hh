@@ -99,11 +99,12 @@ struct ModelDef
     std::function<NetworkSpec(u64 seed)> teacherAt;
 
     /**
-     * Knob-driven recompression (GENESIS' search space). When unset,
-     * the generic compressor (dnn::compressGeneric over teacherAt)
-     * is used.
+     * Knob-driven recompression of a teacher (GENESIS' search space;
+     * the teacher is one teacherAt returned). When unset, the generic
+     * compressor (dnn::compressGeneric) is used.
      */
-    std::function<NetworkSpec(const CompressionKnobs &, u64 seed)>
+    std::function<NetworkSpec(const NetworkSpec &teacher,
+                              const CompressionKnobs &)>
         withKnobs;
 
     /**
@@ -148,11 +149,21 @@ class ModelEntry
     /** Teacher rebuilt at an explicit seed (see ModelDef::teacherAt). */
     NetworkSpec teacherAt(u64 seed) const { return teacherAt_(seed); }
 
-    /** Knob-driven compressed variant (see ModelDef::withKnobs). */
+    /** Knob-driven compressed variant of teacherAt(seed) (see
+     * ModelDef::withKnobs). */
     NetworkSpec
     withKnobs(const CompressionKnobs &knobs, u64 seed) const
     {
-        return withKnobs_(knobs, seed);
+        return withKnobs_(teacherAt_(seed), knobs);
+    }
+
+    /** Knob-driven compressed variant of a teacher the caller already
+     * holds (one teacherAt returned): GENESIS' grid points. */
+    NetworkSpec
+    withKnobs(const NetworkSpec &teacher,
+              const CompressionKnobs &knobs) const
+    {
+        return withKnobs_(teacher, knobs);
     }
 
   private:
@@ -161,7 +172,9 @@ class ModelEntry
     NetworkSpec teacher_;
     NetworkSpec compressed_;
     std::function<NetworkSpec(u64)> teacherAt_;
-    std::function<NetworkSpec(const CompressionKnobs &, u64)> withKnobs_;
+    std::function<NetworkSpec(const NetworkSpec &,
+                              const CompressionKnobs &)>
+        withKnobs_;
     std::function<Dataset(const NetworkSpec &, const ModelMeta &)>
         datasetBuilder_;
 

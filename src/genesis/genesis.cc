@@ -22,7 +22,8 @@ techniqueName(Technique t)
 }
 
 ConfigPoint
-evaluateConfig(const dnn::ModelEntry &entry, Technique technique,
+evaluateConfig(const dnn::ModelEntry &entry,
+               const dnn::NetworkSpec &teacher, Technique technique,
                const dnn::CompressionKnobs &knobs,
                const dnn::Dataset &data, const GenesisOptions &opts)
 {
@@ -30,7 +31,7 @@ evaluateConfig(const dnn::ModelEntry &entry, Technique technique,
     point.technique = technique;
     point.knobs = knobs;
 
-    const dnn::NetworkSpec spec = entry.withKnobs(knobs, opts.seed);
+    const dnn::NetworkSpec spec = entry.withKnobs(teacher, knobs);
     point.params = spec.paramCount();
     point.macs = spec.macCount();
     point.framBytes = spec.framBytesNeeded();
@@ -90,7 +91,8 @@ runGenesis(const dnn::NetRef &net, const GenesisOptions &opts)
     if (opts.denseGrid) {
         fc_keeps = {0.05, 0.1, 0.2, 0.35, 0.5, 0.75, 1.0, 1.5, 2.5};
         conv_keeps = {0.3, 0.6, 1.0, 2.0};
-        ranks = {0.5, 1.0, 2.0};
+        ranks.assign(std::begin(kDenseRankScales),
+                     std::end(kDenseRankScales));
     } else {
         fc_keeps = {0.1, 0.5, 1.0};
         conv_keeps = {0.5, 1.0};
@@ -147,8 +149,8 @@ runGenesis(const dnn::NetRef &net, const GenesisOptions &opts)
     util::parallelFor(grid.size(), util::hardwareWorkers(),
                       [&](u64 i, u32) {
                           result.configs[i] = evaluateConfig(
-                              model, grid[i].first, grid[i].second,
-                              data, opts);
+                              model, teacher, grid[i].first,
+                              grid[i].second, data, opts);
                       });
 
     // Choose the feasible configuration maximizing IMpJ.

@@ -57,6 +57,10 @@ struct ConfigPoint
     f64 impj = 0.0;   ///< Eq. 3 application performance
 };
 
+/** The FC rank scales (CompressionKnobs::fcRankScale) of the dense
+ * grid; the sparse grid uses 1.0 only. */
+inline constexpr f64 kDenseRankScales[] = {0.5, 1.0, 2.0};
+
 /** Sweep options. */
 struct GenesisOptions
 {
@@ -106,8 +110,12 @@ GenesisResult runGenesis(const dnn::NetRef &net,
 std::vector<u32> paretoFrontier(const std::vector<ConfigPoint> &configs,
                                 const Technique *technique);
 
-/** Evaluate one configuration (exposed for tests). */
+/**
+ * Evaluate one configuration of a teacher (entry.teacherAt at the
+ * sweep's seed) against its labelled data (exposed for tests).
+ */
 ConfigPoint evaluateConfig(const dnn::ModelEntry &entry,
+                           const dnn::NetworkSpec &teacher,
                            Technique technique,
                            const dnn::CompressionKnobs &knobs,
                            const dnn::Dataset &data,

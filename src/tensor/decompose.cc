@@ -1,10 +1,17 @@
 #include "tensor/decompose.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
+#include <deque>
+#include <map>
+#include <memory>
+#include <mutex>
 #include <numeric>
 
+#include "tensor/eigen_table.hh"
 #include "util/logging.hh"
+#include "util/rng.hh"
 
 namespace sonic::tensor
 {
@@ -27,6 +34,8 @@ rotateRows(f64 *__restrict x, f64 *__restrict y, u32 n, f64 c, f64 s)
         y[k] = s * xk + c * yk;
     }
 }
+
+} // namespace
 
 /**
  * The Gram matrix A A^T (rows) or A^T A (!rows), bit for bit what
@@ -105,10 +114,24 @@ gramMatrix(const Matrix &a, bool rows)
     return gram;
 }
 
-} // namespace
+namespace
+{
 
-EigenResult
-symmetricEigen(const Matrix &sym, u32 max_sweeps, f64 tol)
+/**
+ * symmetricEigen's eigenpairs with each eigenvector stored as a
+ * contiguous column: vector i is vectors[i * dim, (i + 1) * dim). The
+ * layout the memo and the build-time table keep, since a rank-k
+ * projection then reads only the first k * dim values.
+ */
+struct EigenColumns
+{
+    u32 dim = 0;
+    std::vector<f64> values;  ///< descending
+    std::vector<f64> vectors; ///< dim x dim, column-contiguous
+};
+
+EigenColumns
+jacobiColumns(const Matrix &sym, u32 max_sweeps, f64 tol)
 {
     SONIC_ASSERT(sym.rows() == sym.cols(), "symmetricEigen needs square");
     const u32 n = sym.rows();
@@ -168,17 +191,188 @@ symmetricEigen(const Matrix &sym, u32 max_sweeps, f64 tol)
         return row(a, x)[x] > row(a, y)[y];
     });
 
-    EigenResult result;
+    EigenColumns result;
+    result.dim = n;
     result.values.resize(n);
-    result.vectors = Matrix(n, n);
-    f64 *out = result.vectors.data().data();
+    result.vectors.resize(u64{n} * n);
     for (u32 i = 0; i < n; ++i) {
         result.values[i] = row(a, order[i])[order[i]];
         const f64 *vi = row(v, order[i]);
-        for (u32 r = 0; r < n; ++r)
-            out[u64{r} * n + i] = vi[r];
+        std::copy(vi, vi + n, result.vectors.begin() + u64{i} * n);
     }
     return result;
+}
+
+// --- The eigen memo ---------------------------------------------------
+
+/** A solution truncatedSvd projects from: eigenvalues and contiguous
+ * eigenvector columns, kept alive by `owner` (null for the table). */
+struct EigenView
+{
+    const f64 *values = nullptr;
+    const f64 *vectors = nullptr;
+    std::shared_ptr<const void> owner;
+};
+
+struct MemoKey
+{
+    u64 digest;
+    u32 rows;
+    u32 cols;
+    bool gramRows;
+
+    auto operator<=>(const MemoKey &) const = default;
+};
+
+/**
+ * Process-wide memo of full eigen-solutions. Each key has one slot;
+ * the first caller solves it inside the slot's once_flag and any
+ * concurrent caller waits there, so a key is solved once however many
+ * workers ask. Finished solutions are charged against kEigenMemoBytes,
+ * and the oldest are dropped once it is exceeded (a dropped solution
+ * stays alive for the callers still projecting from it).
+ */
+class EigenMemo
+{
+  public:
+    static EigenMemo &
+    instance()
+    {
+        static EigenMemo memo;
+        return memo;
+    }
+
+    /** The solution for a's Gram side, with at least k eigenpairs (a
+     * table entry is a prefix: a rank beyond it is solved). */
+    EigenView
+    lookup(const Matrix &a, const MemoKey &key, u32 k)
+    {
+        for (const TabledEigen &t : tabledEigens()) {
+            if (MemoKey{t.digest, t.rows, t.cols, t.gramRows} == key
+                && k <= t.rank) {
+                tableHits_.fetch_add(1, std::memory_order_relaxed);
+                return {t.values, t.vectors, nullptr};
+            }
+        }
+
+        std::shared_ptr<Slot> slot;
+        {
+            std::lock_guard<std::mutex> lock(mutex_);
+            std::shared_ptr<Slot> &found = slots_[key];
+            if (!found)
+                found = std::make_shared<Slot>();
+            found->maxRank = std::max(found->maxRank, k);
+            slot = found;
+        }
+        bool solved = false;
+        std::call_once(slot->once, [&] {
+            slot->solution = jacobiColumns(gramMatrix(a, key.gramRows),
+                                           kJacobiMaxSweeps, kJacobiTol);
+            solved = true;
+        });
+        if (solved) {
+            solves_.fetch_add(1, std::memory_order_relaxed);
+            charge(key, slot->solution);
+        } else {
+            memoHits_.fetch_add(1, std::memory_order_relaxed);
+        }
+        const EigenColumns &s = slot->solution;
+        return {s.values.data(), s.vectors.data(), std::move(slot)};
+    }
+
+    std::vector<MemoizedEigen>
+    held()
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        std::vector<MemoKey> keys(order_.begin(), order_.end());
+        std::sort(keys.begin(), keys.end());
+        std::vector<MemoizedEigen> out;
+        for (const MemoKey &key : keys) {
+            const Slot &slot = *slots_.at(key);
+            const EigenColumns &s = slot.solution;
+            const u32 rank = slot.maxRank;
+            out.push_back({key.digest, key.rows, key.cols, key.gramRows,
+                           s.dim, rank,
+                           {s.values.begin(), s.values.begin() + rank},
+                           {s.vectors.begin(),
+                            s.vectors.begin() + u64{rank} * s.dim}});
+        }
+        return out;
+    }
+
+    EigenSourceCounts
+    counts() const
+    {
+        return {tableHits_.load(std::memory_order_relaxed),
+                memoHits_.load(std::memory_order_relaxed),
+                solves_.load(std::memory_order_relaxed)};
+    }
+
+  private:
+    struct Slot
+    {
+        std::once_flag once;
+        EigenColumns solution;
+        u32 maxRank = 0; ///< largest k asked of it (under mutex_)
+    };
+
+    static u64
+    bytesOf(const EigenColumns &s)
+    {
+        return (s.values.size() + s.vectors.size()) * sizeof(f64);
+    }
+
+    /** Charge a finished solution and drop the oldest over budget. */
+    void
+    charge(const MemoKey &key, const EigenColumns &solution)
+    {
+        std::lock_guard<std::mutex> lock(mutex_);
+        bytes_ += bytesOf(solution);
+        order_.push_back(key);
+        while (bytes_ > kEigenMemoBytes) {
+            const auto it = slots_.find(order_.front());
+            bytes_ -= bytesOf(it->second->solution);
+            slots_.erase(it);
+            order_.pop_front();
+        }
+    }
+
+    std::mutex mutex_;
+    std::map<MemoKey, std::shared_ptr<Slot>> slots_;
+    std::deque<MemoKey> order_; ///< finished keys, oldest first
+    u64 bytes_ = 0;
+    std::atomic<u64> tableHits_{0};
+    std::atomic<u64> memoHits_{0};
+    std::atomic<u64> solves_{0};
+};
+
+} // namespace
+
+EigenResult
+symmetricEigen(const Matrix &sym, u32 max_sweeps, f64 tol)
+{
+    const EigenColumns cols = jacobiColumns(sym, max_sweeps, tol);
+    const u32 n = cols.dim;
+    EigenResult result;
+    result.values = cols.values;
+    result.vectors = Matrix(n, n);
+    f64 *out = result.vectors.data().data();
+    for (u32 i = 0; i < n; ++i)
+        for (u32 r = 0; r < n; ++r)
+            out[u64{r} * n + i] = cols.vectors[u64{i} * n + r];
+    return result;
+}
+
+EigenSourceCounts
+eigenSourceCounts()
+{
+    return EigenMemo::instance().counts();
+}
+
+std::vector<MemoizedEigen>
+memoizedEigens()
+{
+    return EigenMemo::instance().held();
 }
 
 Matrix
@@ -213,7 +407,8 @@ truncatedSvd(const Matrix &a, u32 k)
 
     // Work with the smaller Gram matrix.
     const bool use_rows = m <= n;
-    EigenResult eig = symmetricEigen(gramMatrix(a, use_rows));
+    const EigenView eig = EigenMemo::instance().lookup(
+        a, {wordDigest(a.data().data(), a.size()), m, n, use_rows}, k);
 
     SvdResult result;
     result.s.resize(k);
@@ -227,15 +422,13 @@ truncatedSvd(const Matrix &a, u32 k)
     Matrix &gram_side = use_rows ? result.u : result.v;
     Matrix &other_side = use_rows ? result.v : result.u;
     const f64 *arow0 = a.data().data();
-    std::vector<f64> vec(g);
     std::vector<f64> acc(other);
     for (u32 i = 0; i < k; ++i) {
         const f64 sigma = std::sqrt(std::max(0.0, eig.values[i]));
         result.s[i] = sigma;
-        for (u32 r = 0; r < g; ++r) {
-            vec[r] = eig.vectors.data()[u64{r} * g + i];
+        const f64 *vec = eig.vectors + u64{i} * g;
+        for (u32 r = 0; r < g; ++r)
             gram_side.data()[u64{r} * k + i] = vec[r];
-        }
         if (!(sigma > 1e-300))
             continue;
         if (use_rows) {

@@ -25,6 +25,11 @@ struct EigenResult
     Matrix vectors; ///< column i is the eigenvector for values[i]
 };
 
+/** symmetricEigen's default sweep limit and convergence tolerance;
+ * truncatedSvd solves with these too. */
+inline constexpr u32 kJacobiMaxSweeps = 64;
+inline constexpr f64 kJacobiTol = 1e-12;
+
 /**
  * Cyclic Jacobi eigendecomposition of a symmetric matrix. O(n^3) per
  * sweep; intended for the small Gram matrices (n <= a few hundred)
@@ -39,8 +44,9 @@ struct EigenResult
  * bits; loops may be restructured for speed, never reordered or
  * reassociated.
  */
-EigenResult symmetricEigen(const Matrix &sym, u32 max_sweeps = 64,
-                           f64 tol = 1e-12);
+EigenResult symmetricEigen(const Matrix &sym,
+                           u32 max_sweeps = kJacobiMaxSweeps,
+                           f64 tol = kJacobiTol);
 
 /** Truncated SVD A ~= U diag(S) V^T with k columns. */
 struct SvdResult
@@ -57,12 +63,67 @@ struct SvdResult
 };
 
 /**
+ * The Gram matrix truncatedSvd decomposes: A A^T when rows, else
+ * A^T A. Bit for bit what a.matmul(a.transpose()) and
+ * a.transpose().matmul(a) compute.
+ */
+Matrix gramMatrix(const Matrix &a, bool rows);
+
+/**
  * Rank-k SVD computed via eigendecomposition of the smaller Gram
- * matrix (numerically adequate for compression use). Each projected
- * factor element (A^T u / sigma or A v / sigma) sums in ascending
- * index order from 0.0, pinned like symmetricEigen.
+ * matrix (numerically adequate for compression use; the rows side
+ * when a.rows() <= a.cols()). Each projected factor element
+ * (A^T u / sigma or A v / sigma) sums in ascending index order from
+ * 0.0, pinned like symmetricEigen.
+ *
+ * Factor i reads only eigenpair i, so the result for rank k is an
+ * exact prefix of the result for any larger rank, and the
+ * eigen-solution is looked up rather than solved whenever it is
+ * known:
+ *  - the build-time factor table (tensor/eigen_table.hh) serves the
+ *    paper teachers' layers with no copy;
+ *  - otherwise a process-wide memo keyed by (wordDigest of A's bits,
+ *    A's shape, Gram side) holds each full solution once, within
+ *    kEigenMemoBytes (the oldest solutions are dropped first);
+ *  - concurrent misses on one key solve it once.
+ * Either way the bits are those of solving symmetricEigen(gram).
  */
 SvdResult truncatedSvd(const Matrix &a, u32 k);
+
+/** The eigen memo's budget: the bytes of solutions it holds at most.
+ * The seven paper-layer solutions of one teacher seed take ~1.5 MB. */
+inline constexpr u64 kEigenMemoBytes = u64{4} << 20;
+
+/** Where truncatedSvd's eigen-solutions came from, since the start. */
+struct EigenSourceCounts
+{
+    u64 tableHits = 0; ///< served from the build-time table
+    u64 memoHits = 0;  ///< served from the memo (or a concurrent solve)
+    u64 solves = 0;    ///< symmetricEigen runs
+};
+
+/** A snapshot of the process-wide counts. */
+EigenSourceCounts eigenSourceCounts();
+
+/** One solution the memo holds, cut to the largest rank asked of it
+ * (the layout of tensor::TabledEigen, owning its values). */
+struct MemoizedEigen
+{
+    u64 digest = 0;
+    u32 rows = 0;
+    u32 cols = 0;
+    bool gramRows = true;
+    u32 dim = 0;
+    u32 rank = 0;
+    std::vector<f64> values;
+    std::vector<f64> vectors; ///< column i at vectors[i * dim]
+};
+
+/**
+ * Every solution the memo holds, in key order. The table generator
+ * runs the library's own callers and tables what they asked for.
+ */
+std::vector<MemoizedEigen> memoizedEigens();
 
 /** Rank-1 CP decomposition T ~= lambda * a (x) b (x) c. */
 struct Cp1Result

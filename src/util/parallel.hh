@@ -39,10 +39,13 @@ u32 hardwareWorkers();
 
 /**
  * Workers for a cold-start fan (per-layer compression, dataset
- * labels): the caller plus one helper, capped by the cores. A paper
- * teacher has two dominant factorizations, so a second worker takes
- * almost all of the gain, and every further thread would keep its own
- * malloc arena of freed factorization temporaries resident.
+ * labels): the caller plus one helper, capped by the cores. The paper
+ * models' factorizations and labels come from the build-time table
+ * (tensor/eigen_table.hh, dnn/label_table.hh), so this fan matters on
+ * a miss: another seed, a loaded or synthetic model. There a teacher
+ * has two dominant factorizations, so a second worker takes almost all
+ * of the gain, and every further thread would keep its own malloc
+ * arena of freed factorization temporaries resident.
  */
 u32 coldStartWorkers();
 

@@ -10,6 +10,7 @@
 #define SONIC_UTIL_RNG_HH
 
 #include <cmath>
+#include <cstring>
 #include <string>
 
 #include "util/types.hh"
@@ -42,6 +43,37 @@ fnv1a(const std::string &name)
     for (char c : name) {
         h ^= static_cast<u64>(static_cast<unsigned char>(c));
         h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/** FNV-1a 64 offset basis: the seed of a fresh digest chain. */
+inline constexpr u64 kDigestBasis = 0xcbf29ce484222325ull;
+
+/**
+ * Bit digest of f64 words, chained through h: the key of the eigen
+ * memo and of the build-time factor and label tables. Each word's bit
+ * pattern is xored in whole and multiplied by the FNV-1a prime (one
+ * multiply per word, 8x fewer than FNV-1a over the bytes), then the
+ * high half is folded down so that high bits reach the low bits too.
+ * Each step is a bijection of h for a fixed word and injective in the
+ * word for a fixed h, so two sequences that differ in one word (by an
+ * ulp, or by the sign of a zero) always digest differently.
+ */
+inline u64
+wordDigest(u64 word, u64 h)
+{
+    h = (h ^ word) * 0x100000001b3ull;
+    return h ^ (h >> 32);
+}
+
+inline u64
+wordDigest(const f64 *data, u64 count, u64 h = kDigestBasis)
+{
+    for (u64 i = 0; i < count; ++i) {
+        u64 w = 0;
+        std::memcpy(&w, data + i, sizeof w);
+        h = wordDigest(w, h);
     }
     return h;
 }

@@ -78,6 +78,7 @@ struct Args
     std::vector<std::string> impls; ///< empty = acceptance five
     std::vector<std::string> loadModels; ///< model files to register
     std::string environment; ///< fuzz under a realistic environment
+    env::EnvRef environmentRef; ///< environment, resolved
     std::vector<std::string> pipelines; ///< pipeline-surface fuzz mode
     bool list = false;
     u32 schedules = 200;
@@ -207,36 +208,40 @@ runGoldenFileMode(const Args &args)
     return 1;
 }
 
-/** Parse and validate --env into an EnvRef (empty input passes). */
-env::EnvRef
-resolveEnvironment(const std::string &label)
+/**
+ * Parse and validate --env into *ref (empty input passes); a bad
+ * reference prints a diagnostic and returns false.
+ */
+bool
+resolveEnvironment(const std::string &label, env::EnvRef *ref)
 {
-    env::EnvRef ref;
     if (label.empty())
-        return ref;
+        return true;
     std::string error;
-    if (!env::parseEnvRef(label, &ref, &error))
-        fatal(error);
+    if (!env::parseEnvRef(label, ref, &error)) {
+        std::cerr << error << "\n";
+        return false;
+    }
     auto &registry = env::EnvRegistry::instance();
-    const auto *meta = registry.meta(ref.env);
-    if (meta == nullptr)
-        fatal("unknown environment '", ref.env,
-              "'; registered environments: ",
-              registry.availableList());
-    if (meta->alwaysOn)
-        fatal("environment '", ref.env,
-              "' never fails; the oracle needs an intermittent one");
-    return ref;
+    const auto *meta = registry.meta(ref->env);
+    if (meta == nullptr) {
+        std::cerr << "unknown environment '" << ref->env
+                  << "'; registered environments: "
+                  << registry.availableList() << "\n";
+        return false;
+    }
+    if (meta->alwaysOn) {
+        std::cerr << "environment '" << ref->env
+                  << "' never fails; the oracle needs an intermittent "
+                     "one\n";
+        return false;
+    }
+    return true;
 }
 
 verify::OracleReport
-runLocalImpl(const std::string &impl_name, const Args &args)
+runLocalImpl(const kernels::ImplInfo *info, const Args &args)
 {
-    const auto *info =
-        kernels::ImplRegistry::instance().find(impl_name);
-    if (info == nullptr)
-        fatal("unknown implementation '", impl_name, "'");
-
     verify::LocalWorkload workload;
     workload.net = verify::goldenNet();
     workload.input = verify::goldenInput();
@@ -246,8 +251,7 @@ runLocalImpl(const std::string &impl_name, const Args &args)
     gen.seed = args.seed
         ^ (static_cast<u64>(info->id) * 0x9e3779b97f4a7c15ull);
     gen.maxFailures = args.maxFailures;
-    const env::EnvRef environment =
-        resolveEnvironment(args.environment);
+    const env::EnvRef &environment = args.environmentRef;
     std::vector<verify::Schedule> schedules;
     if (environment.empty()) {
         // The commit trace (a full instrumented run) only feeds the
@@ -288,12 +292,8 @@ runLocalImpl(const std::string &impl_name, const Args &args)
  */
 verify::OracleReport
 runPipelineImpl(const std::string &pipeline_name,
-                const std::string &impl_name, const Args &args)
+                const kernels::ImplInfo *info, const Args &args)
 {
-    const auto *info =
-        kernels::ImplRegistry::instance().find(impl_name);
-    if (info == nullptr)
-        fatal("unknown implementation '", impl_name, "'");
     verify::PipelineWorkload workload;
     workload.base.net = verify::goldenNet();
     workload.base.input = verify::goldenInput();
@@ -312,19 +312,15 @@ runPipelineImpl(const std::string &pipeline_name,
 
 verify::OracleReport
 runEngineImpl(app::Engine &engine, const dnn::NetRef &net,
-              const std::string &impl_name, const Args &args)
+              const kernels::ImplInfo *info, const Args &args)
 {
-    const auto *info =
-        kernels::ImplRegistry::instance().find(impl_name);
-    if (info == nullptr)
-        fatal("unknown implementation '", impl_name, "'");
     verify::EngineOracleConfig config;
     config.net = net;
     config.impl = info->id;
     config.schedules = args.schedules;
     config.seed = args.seed;
     config.maxFailures = args.maxFailures;
-    config.environment = resolveEnvironment(args.environment);
+    config.environment = args.environmentRef;
     auto report = verify::verifyWithEngine(engine, config);
     // The local mirror of the engine coordinate (same cached net and
     // sample-0 input verifyWithEngine records commit traces with).
@@ -413,10 +409,32 @@ main(int argc, char **argv)
     if (!args.emitGolden.empty() || !args.verifyGolden.empty())
         return runGoldenFileMode(args);
 
-    std::vector<std::string> impls = args.impls;
-    if (impls.empty())
-        impls.assign(std::begin(kDefaultImpls),
-                     std::end(kDefaultImpls));
+    std::vector<std::string> impl_names = args.impls;
+    if (impl_names.empty())
+        impl_names.assign(std::begin(kDefaultImpls),
+                          std::end(kDefaultImpls));
+    // Every name a user typed is resolved before any run starts, and a
+    // bad one is a usage error (exit 2).
+    std::vector<const kernels::ImplInfo *> impls;
+    for (const auto &name : impl_names) {
+        impls.push_back(kernels::ImplRegistry::instance().find(name));
+        if (impls.back() == nullptr) {
+            std::cerr << "unknown implementation '" << name << "'\n";
+            return 2;
+        }
+    }
+    for (const auto &name : args.pipelines) {
+        if (!pipeline::PipelineRegistry::instance().contains(name)) {
+            std::cerr << "unknown pipeline '" << name
+                      << "'; registered pipelines: "
+                      << pipeline::PipelineRegistry::instance()
+                             .availableList()
+                      << "\n";
+            return 2;
+        }
+    }
+    if (!resolveEnvironment(args.environment, &args.environmentRef))
+        return 2;
 
     // "golden" runs the built-in platform-stable workload on the
     // sequential local path; every other zoo model fans through the

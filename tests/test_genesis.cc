@@ -9,6 +9,7 @@
 
 #include "genesis/genesis.hh"
 #include "genesis/impj.hh"
+#include "tensor/decompose.hh"
 
 namespace sonic::genesis
 {
@@ -206,8 +207,16 @@ TEST(Genesis, SweepsAnyZooModelThroughGenericCompression)
     GenesisOptions opts;
     opts.denseGrid = false;
     opts.evalSamples = 16;
+    const tensor::EigenSourceCounts before = tensor::eigenSourceCounts();
     const auto r = runGenesis("DeepFC-6", opts);
+    const tensor::EigenSourceCounts after = tensor::eigenSourceCounts();
     EXPECT_EQ(r.net, "DeepFC-6");
+    // No table entry covers a synthetic model, so its SVD points share
+    // the eigen memo: each teacher layer is solved at most once and
+    // the other points are served the solution.
+    const auto &teacher = dnn::ModelZoo::instance().get("DeepFC-6").teacher();
+    EXPECT_LE(after.solves - before.solves, teacher.layers.size());
+    EXPECT_GT(after.memoHits, before.memoHits);
     EXPECT_FALSE(r.configs.empty());
     EXPECT_TRUE(r.chosen().feasible);
     // Synthetic teachers are device-feasible, so the original is too.

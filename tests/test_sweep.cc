@@ -112,6 +112,34 @@ TEST(SweepPlan, ImplNamesResolveThroughRegistry)
     EXPECT_EQ(axis[2], kernels::Impl::Tails);
 }
 
+TEST(SweepPlan, AxisChecksReturnTheSettersDiagnostics)
+{
+    // The checks a CLI runs before the setters report a bad name as
+    // text instead of fatal(); good names resolve as the setters do.
+    EXPECT_EQ(checkNets({"MNIST", "OkG"}), "");
+    EXPECT_NE(checkNets({"MNIST", "nope"}).find("unknown model 'nope'"),
+              std::string::npos);
+
+    std::vector<kernels::Impl> ids;
+    EXPECT_EQ(resolveImplNames({"TAILS", "Base"}, &ids), "");
+    EXPECT_EQ(ids, (std::vector{kernels::Impl::Tails,
+                                kernels::Impl::Base}));
+    EXPECT_EQ(resolveImplNames({"nope"}, &ids),
+              "unknown implementation 'nope'");
+
+    std::vector<env::EnvRef> refs;
+    EXPECT_EQ(resolveEnvironmentLabels({"solar@1mF", "rf-paper"}, &refs),
+              "");
+    ASSERT_EQ(refs.size(), 2u);
+    EXPECT_EQ(refs[1].env, "rf-paper");
+    EXPECT_NE(resolveEnvironmentLabels({"nope"}, &refs)
+                  .find("unknown environment 'nope'"),
+              std::string::npos);
+    EXPECT_NE(resolveEnvironmentLabels({"solar@-1mF"}, &refs)
+                  .find("capacitance must be positive"),
+              std::string::npos);
+}
+
 TEST(SweepPlan, SeedsAreDeterministicAndShapeIndependent)
 {
     SweepPlan small;

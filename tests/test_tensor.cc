@@ -6,8 +6,12 @@
  * decompositions and the conv loop.
  */
 
+#include <algorithm>
 #include <cmath>
+#include <latch>
+#include <thread>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -374,18 +378,114 @@ TEST(Pinned, SymmetricEigenBits)
     EXPECT_EQ(d, 0x0b4d54c395155586ull) << std::hex << d;
 }
 
-TEST(Pinned, TruncatedSvdBitsBothGramSides)
+/** Every bit of a truncated SVD: singular values, U, then V. */
+u64
+svdDigest(const SvdResult &svd)
+{
+    return digestOf(svd.v, digestOf(svd.u, testutil::bitDigest(svd.s)));
+}
+
+/** pinMatrix() (48 x 130, A A^T) and its transpose (A^T A) at rank 9,
+ * with their pinned svdDigest. */
+std::vector<std::pair<Matrix, u64>>
+svdPins()
 {
     const Matrix a = pinMatrix();
-    // 48 x 130 works on A A^T; the transpose works on A^T A.
-    for (const auto &[m, want] :
-         {std::pair{a, 0x7d42b66489c0e649ull},
-          std::pair{a.transpose(), 0x55738965456ec051ull}}) {
-        const auto svd = truncatedSvd(m, 9);
-        const u64 d = digestOf(
-            svd.v, digestOf(svd.u, testutil::bitDigest(svd.s)));
+    return {{a, 0x7d42b66489c0e649ull},
+            {a.transpose(), 0x55738965456ec051ull}};
+}
+
+TEST(Pinned, TruncatedSvdBitsBothGramSides)
+{
+    for (const auto &[m, want] : svdPins()) {
+        const u64 d = svdDigest(truncatedSvd(m, 9));
         EXPECT_EQ(d, want) << std::hex << d;
     }
+}
+
+TEST(EigenMemo, LowerRankIsAPrefixOfAWarmedSolution)
+{
+    // A rank-40 call leaves the whole solution in the memo; rank 9 is
+    // then served from it, with the pinned bits on both Gram sides.
+    for (const auto &[m, want] : svdPins()) {
+        truncatedSvd(m, 40);
+        const EigenSourceCounts before = eigenSourceCounts();
+        const u64 d = svdDigest(truncatedSvd(m, 9));
+        const EigenSourceCounts after = eigenSourceCounts();
+        EXPECT_EQ(d, want) << std::hex << d;
+        EXPECT_EQ(after.solves, before.solves);
+        EXPECT_EQ(after.memoHits, before.memoHits + 1);
+    }
+}
+
+TEST(EigenMemo, OneUlpApartIsSolvedAfresh)
+{
+    Rng rng(0x0a1b);
+    const Matrix a = Matrix::gaussian(20, 33, rng);
+    Matrix b = a;
+    b.at(7, 11) = std::nextafter(b.at(7, 11), 1e300);
+
+    const EigenSourceCounts start = eigenSourceCounts();
+    const u64 first = svdDigest(truncatedSvd(a, 5));
+    EXPECT_EQ(svdDigest(truncatedSvd(a, 5)), first);
+    const EigenSourceCounts warm = eigenSourceCounts();
+    EXPECT_EQ(warm.solves, start.solves + 1);
+    EXPECT_EQ(warm.memoHits, start.memoHits + 1);
+
+    // One ulp in one element: a different key, so b is solved, and
+    // its singular values are those of its own Gram matrix.
+    const SvdResult svd = truncatedSvd(b, 5);
+    EXPECT_EQ(eigenSourceCounts().solves, warm.solves + 1);
+    const EigenResult eig = symmetricEigen(gramMatrix(b, true));
+    for (u32 i = 0; i < 5; ++i)
+        EXPECT_EQ(svd.s[i], std::sqrt(std::max(0.0, eig.values[i])));
+}
+
+TEST(EigenMemo, DropsTheOldestPastItsBudget)
+{
+    // 8 x 9 matrices solve 8 x 8 Gram matrices. Past the budget's
+    // worth of them the first is dropped and solved again, while the
+    // last is still held.
+    const auto matrix = [](u64 i) {
+        Rng rng(0xb0d6e7 + i);
+        return Matrix::gaussian(8, 9, rng);
+    };
+    const u64 solution_bytes = (8 * 8 + 8) * sizeof(f64);
+    const u64 count = kEigenMemoBytes / solution_bytes + 100;
+    for (u64 i = 0; i < count; ++i)
+        truncatedSvd(matrix(i), 1);
+    EXPECT_LE(memoizedEigens().size(), kEigenMemoBytes / solution_bytes);
+
+    const EigenSourceCounts before = eigenSourceCounts();
+    truncatedSvd(matrix(count - 1), 1);
+    EXPECT_EQ(eigenSourceCounts().memoHits, before.memoHits + 1);
+    truncatedSvd(matrix(0), 1);
+    EXPECT_EQ(eigenSourceCounts().solves, before.solves + 1);
+}
+
+TEST(EigenMemo, ConcurrentMissesSolveOnce)
+{
+    // Four threads ask for the same fresh key at once (GENESIS' grid
+    // starts every point together): one solve, identical bits.
+    Rng rng(0x0c0c);
+    const Matrix a = Matrix::gaussian(40, 24, rng);
+    const EigenSourceCounts before = eigenSourceCounts();
+    std::vector<u64> digests(4);
+    std::latch start(4);
+    std::vector<std::thread> threads;
+    for (u32 t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            digests[t] = svdDigest(truncatedSvd(a, 6));
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    const EigenSourceCounts after = eigenSourceCounts();
+    for (u32 t = 1; t < 4; ++t)
+        EXPECT_EQ(digests[t], digests[0]);
+    EXPECT_EQ(after.solves, before.solves + 1);
+    EXPECT_EQ(after.memoHits, before.memoHits + 3);
 }
 
 TEST(Pinned, Conv2dValidBits)

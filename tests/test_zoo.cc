@@ -5,15 +5,21 @@
  * names), builder shape propagation and fusion, the synthetic model
  * families, generic knob compression, the unknown-model error
  * paths in SweepPlan and Engine, and bit pins of the paper workloads'
- * teachers, compressed networks and datasets.
+ * teachers, compressed networks and datasets, with the build-time
+ * factor and label tables held to what solving and labelling give.
  */
+
+#include <cstring>
 
 #include <gtest/gtest.h>
 
 #include "app/engine.hh"
 #include "dnn/builder.hh"
+#include "dnn/label_table.hh"
 #include "dnn/model_io.hh"
 #include "dnn/zoo.hh"
+#include "tensor/decompose.hh"
+#include "tensor/eigen_table.hh"
 #include "test_helpers.hh"
 #include "util/parallel.hh"
 
@@ -245,6 +251,66 @@ TEST(ModelZoo, PaperArtifactsArePinned)
         EXPECT_EQ(knobs, pin.knobs) << std::hex << knobs;
         EXPECT_EQ(dataset, pin.dataset) << std::hex << dataset;
     }
+
+    // The artifacts above came from the build-time table; its entries
+    // must be what solving and labelling compute. Every hidden FC
+    // layer of every paper teacher has a factor entry, and every
+    // paper dataset a label entry.
+    const auto same_bits = [](const f64 *x, const f64 *y, u64 n) {
+        return std::memcmp(x, y, n * sizeof(f64)) == 0;
+    };
+    u32 eigens_checked = 0;
+    u32 labels_checked = 0;
+    for (const auto &pin : pins) {
+        SCOPED_TRACE(pin.net);
+        const auto &entry = ModelZoo::instance().get(pin.net);
+        const NetworkSpec &teacher = entry.teacher();
+        for (u32 li = 0; li + 1 < teacher.layers.size(); ++li) {
+            const auto *fc =
+                std::get_if<DenseFcLayer>(&teacher.layers[li].op);
+            if (fc == nullptr)
+                continue;
+            const tensor::Matrix &a = fc->weights;
+            const u64 digest = wordDigest(a.data().data(), a.size());
+            const tensor::TabledEigen *tabled = nullptr;
+            for (const auto &t : tensor::tabledEigens())
+                if (t.digest == digest && t.rows == a.rows()
+                    && t.cols == a.cols())
+                    tabled = &t;
+            ASSERT_NE(tabled, nullptr) << "layer " << li;
+            const tensor::EigenResult eig = tensor::symmetricEigen(
+                tensor::gramMatrix(a, tabled->gramRows));
+            ASSERT_EQ(tabled->dim, eig.values.size());
+            ASSERT_GE(tabled->rank, 1u);
+            EXPECT_TRUE(same_bits(tabled->values, eig.values.data(),
+                                  tabled->rank));
+            for (u32 i = 0; i < tabled->rank; ++i) {
+                std::vector<f64> column(tabled->dim);
+                for (u32 r = 0; r < tabled->dim; ++r)
+                    column[r] = eig.vectors.at(r, i);
+                EXPECT_TRUE(same_bits(tabled->vectors
+                                          + u64{i} * tabled->dim,
+                                      column.data(), tabled->dim))
+                    << "layer " << li << " column " << i;
+            }
+            ++eigens_checked;
+        }
+
+        const Dataset &data = entry.dataset();
+        const u64 key = labelKey(teacher, data);
+        const TabledLabels *tabled = nullptr;
+        for (const auto &t : tabledLabels())
+            if (t.key == key)
+                tabled = &t;
+        ASSERT_NE(tabled, nullptr);
+        ASSERT_EQ(tabled->count, data.size());
+        for (u32 i = 0; i < tabled->count; ++i)
+            EXPECT_EQ(tabled->labels[i], teacher.classify(data[i].input))
+                << "sample " << i;
+        ++labels_checked;
+    }
+    EXPECT_EQ(eigens_checked, tensor::tabledEigens().size());
+    EXPECT_EQ(labels_checked, tabledLabels().size());
 }
 
 TEST(ModelZoo, PaperEntriesCompressTheTeacherTheyBuilt)
