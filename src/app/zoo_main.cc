@@ -248,7 +248,7 @@ main(int argc, char **argv)
             const auto &entry = zoo.get(name);
             std::cout << name << " [" << entry.meta().family << "] "
                       << entry.compressed().paramCount() << " params, "
-                      << entry.teacher().numClasses << " classes — "
+                      << entry.compressed().numClasses << " classes — "
                       << entry.meta().description << "\n";
         }
         return 0;

@@ -33,11 +33,15 @@
 namespace sonic::dnn
 {
 
+/** The default weight seed of the builder and the synthetic families
+ * (the zoo's synthetic rows are built at it). */
+inline constexpr u64 kBuilderSeed = 0x5eed;
+
 /** Fluent layer-by-layer NetworkSpec assembly. */
 class NetworkBuilder
 {
   public:
-    NetworkBuilder(std::string name, ActShape input, u64 seed = 0x5eed);
+    NetworkBuilder(std::string name, ActShape input, u64 seed = kBuilderSeed);
 
     /** @name Synthetic-weight layers (deterministic dyadic weights
      * derived from the builder seed and the layer index; weight
@@ -100,17 +104,17 @@ class NetworkBuilder
 
 /** `depth` dense FC layers of `width` units over a flat input. */
 NetworkSpec deepFcNet(const std::string &name, u32 inputDim, u32 depth,
-                      u32 width, u32 classes, u64 seed = 0x5eed);
+                      u32 width, u32 classes, u64 seed = kBuilderSeed);
 
 /** One wide sparse hidden FC layer (pruned to `density`). */
 NetworkSpec wideFcNet(const std::string &name, u32 inputDim, u32 width,
-                      f64 density, u32 classes, u64 seed = 0x5eed);
+                      f64 density, u32 classes, u64 seed = kBuilderSeed);
 
 /** `depth` stacked factored (depthwise-separable-style) convolutions
  * over a `channels` x `hw` x `hw` input, then a sparse FC head. */
 NetworkSpec depthwiseConvNet(const std::string &name, u32 channels,
                              u32 hw, u32 depth, u32 classes,
-                             u64 seed = 0x5eed);
+                             u64 seed = kBuilderSeed);
 /// @}
 
 } // namespace sonic::dnn

@@ -46,8 +46,12 @@ const char *netName(NetId id);
 /** The paper's reported accuracy for the chosen configuration. */
 f64 paperAccuracy(NetId id);
 
+/** The seed the paper teachers are built at by default (and the seed
+ * the zoo's paper rows record, see dnn::ModelDef::teacherSeed). */
+inline constexpr u64 kTeacherSeed = 0x5eed;
+
 /** The original (uncompressed) network — infeasible on-device. */
-NetworkSpec buildTeacher(NetId id, u64 seed = 0x5eed);
+NetworkSpec buildTeacher(NetId id, u64 seed = kTeacherSeed);
 
 /**
  * Knobs for building alternative compressed configurations (GENESIS'
@@ -76,7 +80,7 @@ NetworkSpec compressTeacher(NetId id, const NetworkSpec &teacher,
  * The compressed configuration used on-device, derived from the
  * teacher per Table 2 (separation + pruning budgets).
  */
-NetworkSpec buildCompressed(NetId id, u64 seed = 0x5eed);
+NetworkSpec buildCompressed(NetId id, u64 seed = kTeacherSeed);
 
 /**
  * Knob-driven compression for an arbitrary teacher (workloads without

@@ -24,6 +24,7 @@ ModelEntry::ModelEntry(std::string name, ModelMeta meta, ModelDef def)
                                                 : std::move(def.compressed);
     if (def.teacherAt) {
         teacherAt_ = std::move(def.teacherAt);
+        teacherSeed_ = def.teacherSeed;
     } else {
         // Fixed-weight model: every seed sees the registered teacher.
         // Entries are non-copyable and address-stable (the zoo holds
@@ -49,8 +50,23 @@ ModelEntry::dataset() const
                           meta_.datasetSeed);
         SONIC_ASSERT(!dataset_.empty(),
                      "model '", name_, "' built an empty dataset");
+        // Compression and labelling were the teacher's last readers;
+        // teacher() rebuilds it if it is ever asked for again.
+        if (teacherSeed_)
+            teacher_ = NetworkSpec{};
     });
     return dataset_;
+}
+
+const NetworkSpec &
+ModelEntry::teacher() const
+{
+    if (!teacherSeed_)
+        return teacher_;
+    // Never reads teacher_, which dataset() may be freeing meanwhile.
+    std::call_once(rebuiltOnce_,
+                   [this] { rebuilt_ = teacherAt_(*teacherSeed_); });
+    return rebuilt_;
 }
 
 const std::shared_ptr<const LoweredNetwork> &
@@ -68,6 +84,35 @@ ModelZoo::instance()
 {
     static ModelZoo zoo;
     return zoo;
+}
+
+namespace
+{
+
+/** A model whose teacher is at(seed), rebuildable at any seed. */
+ModelDef
+seededDef(std::function<NetworkSpec(u64)> at, u64 seed)
+{
+    ModelDef def;
+    def.teacher = at(seed);
+    def.teacherAt = std::move(at);
+    def.teacherSeed = seed;
+    return def;
+}
+
+} // namespace
+
+ModelDef
+paperModelDef(NetId id)
+{
+    ModelDef def = seededDef(
+        [id](u64 seed) { return buildTeacher(id, seed); }, kTeacherSeed);
+    def.compressed = compressTeacher(id, def.teacher, {});
+    def.withKnobs = [id](const NetworkSpec &teacher,
+                         const CompressionKnobs &knobs) {
+        return compressTeacher(id, teacher, knobs);
+    };
+    return def;
 }
 
 ModelZoo::ModelZoo()
@@ -89,19 +134,8 @@ ModelZoo::ModelZoo()
         meta.paperAccuracy = paperAccuracy(row.id);
         meta.family = "paper";
         meta.description = row.description;
-        add(netName(row.id), meta, [id = row.id] {
-            ModelDef def;
-            def.teacher = buildTeacher(id);
-            def.compressed = compressTeacher(id, def.teacher, {});
-            def.teacherAt = [id](u64 seed) {
-                return buildTeacher(id, seed);
-            };
-            def.withKnobs = [id](const NetworkSpec &teacher,
-                                 const CompressionKnobs &knobs) {
-                return compressTeacher(id, teacher, knobs);
-            };
-            return def;
-        });
+        add(netName(row.id), meta,
+            [id = row.id] { return paperModelDef(id); });
     }
 
     {
@@ -110,12 +144,9 @@ ModelZoo::ModelZoo()
         meta.description = "platform-stable integer-dyadic oracle "
                            "workload (all layer kinds)";
         add("golden", meta, [] {
-            ModelDef def;
-            def.teacher = verify::goldenNet();
-            def.teacherAt = [](u64 seed) {
-                return verify::goldenNet(seed);
-            };
-            return def;
+            return seededDef(
+                [](u64 seed) { return verify::goldenNet(seed); },
+                verify::kGoldenSeed);
         });
     }
 
@@ -127,12 +158,11 @@ ModelZoo::ModelZoo()
         meta.family = "synthetic";
         meta.description = "six dense FC layers, 24 wide, 8 classes";
         add("DeepFC-6", meta, [] {
-            ModelDef def;
-            def.teacher = deepFcNet("DeepFC-6", 32, 6, 24, 8);
-            def.teacherAt = [](u64 seed) {
-                return deepFcNet("DeepFC-6", 32, 6, 24, 8, seed);
-            };
-            return def;
+            return seededDef(
+                [](u64 seed) {
+                    return deepFcNet("DeepFC-6", 32, 6, 24, 8, seed);
+                },
+                kBuilderSeed);
         });
     }
     {
@@ -141,12 +171,12 @@ ModelZoo::ModelZoo()
         meta.description =
             "one 512-wide sparse hidden layer (10% dense), 10 classes";
         add("WideFC-512", meta, [] {
-            ModelDef def;
-            def.teacher = wideFcNet("WideFC-512", 48, 512, 0.10, 10);
-            def.teacherAt = [](u64 seed) {
-                return wideFcNet("WideFC-512", 48, 512, 0.10, 10, seed);
-            };
-            return def;
+            return seededDef(
+                [](u64 seed) {
+                    return wideFcNet("WideFC-512", 48, 512, 0.10, 10,
+                                     seed);
+                },
+                kBuilderSeed);
         });
     }
     {
@@ -155,12 +185,12 @@ ModelZoo::ModelZoo()
         meta.description = "three stacked depthwise-separable factored "
                            "convs over 3x12x12, 6 classes";
         add("DWConv-3", meta, [] {
-            ModelDef def;
-            def.teacher = depthwiseConvNet("DWConv-3", 3, 12, 3, 6);
-            def.teacherAt = [](u64 seed) {
-                return depthwiseConvNet("DWConv-3", 3, 12, 3, 6, seed);
-            };
-            return def;
+            return seededDef(
+                [](u64 seed) {
+                    return depthwiseConvNet("DWConv-3", 3, 12, 3, 6,
+                                            seed);
+                },
+                kBuilderSeed);
         });
     }
 }
@@ -185,7 +215,11 @@ void
 ModelZoo::add(std::string name, ModelMeta meta, NetworkSpec net)
 {
     add(std::move(name), std::move(meta),
-        [net = std::move(net)] { return ModelDef{net, {}, {}, {}}; });
+        [net = std::move(net)] {
+            ModelDef def;
+            def.teacher = net;
+            return def;
+        });
 }
 
 bool

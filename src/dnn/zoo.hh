@@ -7,6 +7,12 @@
  * caches each model's ModelEntry (teacher network, compressed device
  * network, labelled synthetic dataset, metadata) on first use.
  *
+ * As in the paper, where GENESIS compresses a network offline and the
+ * device only ever holds the result (Sec. 4), an entry whose teacher
+ * can be rebuilt (ModelDef::teacherSeed) does not keep it: the teacher
+ * serves compression and dataset labelling, is freed, and is rebuilt
+ * only if teacher() is asked for it.
+ *
  * The paper's three workloads (MNIST/HAR/OkG, Table 2), the verify
  * subsystem's platform-stable integer-dyadic workload ("golden"), and
  * a family of NetworkBuilder-generated synthetic models pre-register;
@@ -27,6 +33,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -99,6 +106,15 @@ struct ModelDef
     std::function<NetworkSpec(u64 seed)> teacherAt;
 
     /**
+     * The seed `teacher` was built at: teacherAt(*teacherSeed) must
+     * return it bit for bit. With teacherAt set, this lets the entry
+     * free the teacher once dataset() has labelled from it and rebuild
+     * it on the first teacher() call. When unset, the entry keeps the
+     * teacher for the life of the process.
+     */
+    std::optional<u64> teacherSeed;
+
+    /**
      * Knob-driven recompression of a teacher (GENESIS' search space;
      * the teacher is one teacherAt returned). When unset, the generic
      * compressor (dnn::compressGeneric) is used.
@@ -133,8 +149,13 @@ class ModelEntry
     const std::string &name() const { return name_; }
     const ModelMeta &meta() const { return meta_; }
 
-    /** The uncompressed reference network. */
-    const NetworkSpec &teacher() const { return teacher_; }
+    /**
+     * The uncompressed reference network. An entry with a teacher seed
+     * (ModelDef::teacherSeed) rebuilds it here on the first call, once
+     * (thread-safe), and keeps that copy: the one it was constructed
+     * with only lives until dataset() has labelled from it.
+     */
+    const NetworkSpec &teacher() const;
 
     /** The on-device configuration. */
     const NetworkSpec &compressed() const { return compressed_; }
@@ -143,7 +164,8 @@ class ModelEntry
      * thread-safe). Every DeviceNetwork of this model shares it. */
     const std::shared_ptr<const LoweredNetwork> &lowered() const;
 
-    /** The labelled synthetic dataset (lazily built, thread-safe). */
+    /** The labelled synthetic dataset (lazily built, thread-safe).
+     * Building it frees a rebuildable teacher (see teacher()). */
     const Dataset &dataset() const;
 
     /** Teacher rebuilt at an explicit seed (see ModelDef::teacherAt). */
@@ -169,7 +191,10 @@ class ModelEntry
   private:
     std::string name_;
     ModelMeta meta_;
-    NetworkSpec teacher_;
+    /** The teacher the entry was built with. Kept for fixed-weight
+     * models; otherwise read and then freed only by dataset(). */
+    mutable NetworkSpec teacher_;
+    std::optional<u64> teacherSeed_;
     NetworkSpec compressed_;
     std::function<NetworkSpec(u64)> teacherAt_;
     std::function<NetworkSpec(const NetworkSpec &,
@@ -181,9 +206,19 @@ class ModelEntry
     mutable std::once_flag datasetOnce_;
     mutable Dataset dataset_;
 
+    mutable std::once_flag rebuiltOnce_;
+    mutable NetworkSpec rebuilt_;
+
     mutable std::once_flag loweredOnce_;
     mutable std::shared_ptr<const LoweredNetwork> lowered_;
 };
+
+/**
+ * The builder of a paper row (MNIST, HAR, OkG): the teacher at
+ * kTeacherSeed, compressed with the Table 2 knobs, rebuildable at any
+ * seed and recompressible with GENESIS' knobs.
+ */
+ModelDef paperModelDef(NetId id);
 
 /**
  * The process-wide model registry. Thread-safe; entries are stable

@@ -4,9 +4,13 @@
 #include <atomic>
 #include <bit>
 #include <functional>
+#include <iomanip>
 #include <ostream>
 #include <sstream>
+#include <type_traits>
 #include <typeinfo>
+
+#include <unistd.h>
 
 #include "dnn/device_net.hh"
 #include "fleet/round_cache.hh"
@@ -501,14 +505,45 @@ simulateDevice(const FleetPlan &plan, u32 device_index)
 // --- FleetColumns ---------------------------------------------------
 
 FleetColumns::FleetColumns(u64 devices)
-    : inferencesCompleted(devices), status(devices), reboots(devices),
-      liveSeconds(devices), deadSeconds(devices), energyJ(devices),
-      harvestedJ(devices), resultsDelivered(devices),
-      txGaveUpRounds(devices), txAttempts(devices), txRetries(devices),
-      radioEnergyJ(devices), senseEnergyJ(devices),
-      txBackoffSeconds(devices), inferenceSecondsSum(devices),
-      deliverySecondsSum(devices)
 {
+    forEachColumn([devices](auto &column) { column.resize(devices); });
+}
+
+u64
+FleetColumns::bytesPerDevice()
+{
+    FleetColumns none(0);
+    u64 bytes = 0;
+    none.forEachColumn([&bytes](const auto &column) {
+        bytes += sizeof(typename std::decay_t<decltype(column)>::value_type);
+    });
+    return bytes;
+}
+
+u64
+physicalMemoryBytes()
+{
+    const long pages = sysconf(_SC_PHYS_PAGES);
+    const long page_size = sysconf(_SC_PAGE_SIZE);
+    if (pages <= 0 || page_size <= 0)
+        return 0;
+    return static_cast<u64>(pages) * static_cast<u64>(page_size);
+}
+
+std::string
+checkFleetMemory(const FleetPlan &plan, u64 physicalBytes)
+{
+    const u64 per_device = FleetColumns::bytesPerDevice();
+    const u64 needed = u64{plan.devices} * per_device;
+    if (physicalBytes == 0 || needed <= physicalBytes)
+        return "";
+    std::ostringstream out;
+    out << std::fixed << std::setprecision(1) << "a fleet of "
+        << plan.devices << " devices needs at least " << needed / 1e9
+        << " GB for its telemetry columns (" << per_device
+        << " B per device), more than the " << physicalBytes / 1e9
+        << " GB of physical memory on this host";
+    return out.str();
 }
 
 void

@@ -323,6 +323,9 @@ class FleetColumns
   public:
     explicit FleetColumns(u64 devices);
 
+    /** Bytes the columns hold per device: their element sizes summed. */
+    static u64 bytesPerDevice();
+
     u64 size() const { return inferencesCompleted.size(); }
 
     /** Write device i's scalar telemetry into the columns. */
@@ -353,7 +356,45 @@ class FleetColumns
     std::vector<f64> inferenceSecondsSum;
     std::vector<f64> deliverySecondsSum;
     /// @}
+
+  private:
+    /** Apply f to every column (the one list of them). */
+    template <typename F>
+    void
+    forEachColumn(F &&f)
+    {
+        f(inferencesCompleted);
+        f(status);
+        f(reboots);
+        f(liveSeconds);
+        f(deadSeconds);
+        f(energyJ);
+        f(harvestedJ);
+        f(resultsDelivered);
+        f(txGaveUpRounds);
+        f(txAttempts);
+        f(txRetries);
+        f(radioEnergyJ);
+        f(senseEnergyJ);
+        f(txBackoffSeconds);
+        f(inferenceSecondsSum);
+        f(deliverySecondsSum);
+    }
 };
+
+/** This host's physical memory in bytes (0 when it cannot be read). */
+u64 physicalMemoryBytes();
+
+/**
+ * Whether a plan's telemetry columns (FleetColumns::bytesPerDevice()
+ * per device) fit in `physicalBytes`: "" when they do or when the size
+ * is unknown (0), otherwise a diagnostic. CLIs call it before runFleet
+ * allocates anything, so an impossible fleet is a usage error instead
+ * of an out-of-memory kill. The columns are a lower bound on what
+ * runFleet allocates.
+ */
+std::string checkFleetMemory(const FleetPlan &plan,
+                             u64 physicalBytes = physicalMemoryBytes());
 
 /**
  * Receives per-device telemetry in device-index order as lifetimes

@@ -23,7 +23,9 @@
  * environments and the named scenarios. The process exits 1 when the
  * fleet completed zero inferences (a deployment that delivers nothing
  * is a failure unless --allow-zero says otherwise), so CI can gate on
- * the exit code alone.
+ * the exit code alone. A fleet whose telemetry columns could not fit
+ * in the host's physical memory is refused with exit 2 before anything
+ * is allocated (fleet::checkFleetMemory).
  */
 
 #include <fstream>
@@ -274,6 +276,11 @@ main(int argc, char **argv)
         || plan.environments.empty() || plan.pipelines.empty()) {
         std::cerr << "--nets, --impls, --envs and --pipelines each need "
                      "at least one entry\n";
+        return 2;
+    }
+    // Before any sink opens or any column is allocated.
+    if (const auto error = fleet::checkFleetMemory(plan); !error.empty()) {
+        std::cerr << error << "\n";
         return 2;
     }
 

@@ -23,7 +23,8 @@
  *              planned fleet and every baseline.
  *
  * Exits 1 when the confirming run fails to tie-or-beat some baseline,
- * so CI can gate on the exit code alone. Exits 2 on usage errors.
+ * so CI can gate on the exit code alone. Exits 2 on usage errors,
+ * including a fleet too large for the host's physical memory.
  */
 
 #include <fstream>
@@ -93,6 +94,17 @@ displayColumn(plan::Objective objective)
         return "J/inf";
     }
     return "objective";
+}
+
+/** Whether a fleet's telemetry columns fit in this host's memory;
+ * prints the diagnostic when they do not. */
+bool
+fitsInMemory(const fleet::FleetPlan &fleet_plan)
+{
+    const std::string error = fleet::checkFleetMemory(fleet_plan);
+    if (!error.empty())
+        std::cerr << error << "\n";
+    return error.empty();
 }
 
 } // namespace
@@ -253,12 +265,17 @@ main(int argc, char **argv)
                       << error << "\n";
             return 2;
         }
+        if (!fitsInMemory(plan.toFleetPlan()))
+            return 2;
         options.objective = plan.objective;
         confirm = true;
         std::cout << "plan: " << from_plan_path << " ("
                   << plan.choices.size() << " coordinates, objective "
                   << plan::objectiveName(plan.objective) << ")\n";
     } else {
+        // Probe fleets are a prefix of this one.
+        if (!fitsInMemory(fleet_plan))
+            return 2;
         plan::Scenario scenario{scenario_name, fleet_plan};
         plan::PlanModel model(options.objective);
 

@@ -14,7 +14,8 @@
  * so an unfiltered cat is byte-identical to the CSV/JSON a direct run
  * writes. Any corruption — flipped payload bytes, a truncated tail, a
  * forged length — is a hard error with a block/column diagnostic, not
- * silently wrong output.
+ * silently wrong output. Bad flags, unreadable files and input that
+ * does not decode all exit 2.
  */
 
 #include <fstream>
@@ -111,7 +112,7 @@ main(int argc, char **argv)
     if (info_only) {
         if (!telemetry::soniczInfo(in, std::cout, &error)) {
             std::cerr << error << "\n";
-            return 1;
+            return 2;
         }
         return 0;
     }
@@ -129,14 +130,14 @@ main(int argc, char **argv)
     if (summary_only) {
         if (!telemetry::soniczSummary(in, out, options, &error)) {
             std::cerr << error << "\n";
-            return 1;
+            return 2;
         }
         return 0;
     }
 
     if (!telemetry::catSonicz(in, out, options, &error)) {
         std::cerr << error << "\n";
-        return 1;
+        return 2;
     }
     return 0;
 }

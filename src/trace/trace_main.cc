@@ -12,7 +12,8 @@
  * charges every joule between consecutive cumulative-energy stamps to
  * the layer/part that was active, reproducing the paper's per-layer
  * energy split from a recorded deployment instead of a bench run.
- * Corrupt or truncated inputs are rejected by the container checksums.
+ * Corrupt or truncated inputs are rejected by the container checksums
+ * and exit 2, like bad flags and unreadable files.
  */
 
 #include <fstream>
@@ -84,7 +85,7 @@ main(int argc, char **argv)
     std::string error;
     if (!trace::readTrace(in, &rows, &info, &error)) {
         std::cerr << "sonic_trace: " << error << "\n";
-        return 1;
+        return 2;
     }
 
     std::ofstream out_file;

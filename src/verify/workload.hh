@@ -24,13 +24,16 @@
 namespace sonic::verify
 {
 
+/** goldenNet's default seed (the zoo's "golden" row is built at it). */
+inline constexpr u64 kGoldenSeed = 0x601d;
+
 /**
  * Tiny all-layer-kinds network (factored conv with pool, pruned 2-D
  * conv, sparse FC, dense FC; input 1x8x8, 4 classes) with dyadic
  * integer-derived weights. Deterministic for a given seed on every
  * platform.
  */
-dnn::NetworkSpec goldenNet(u64 seed = 0x601d);
+dnn::NetworkSpec goldenNet(u64 seed = kGoldenSeed);
 
 /** A deterministic Q7.8 input for goldenNet (raw values). */
 std::vector<i16> goldenInput(u64 seed = 0x1ca7e);

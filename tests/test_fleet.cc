@@ -1,9 +1,10 @@
 /**
  * @file
  * Tests for the fleet simulator: deterministic device assignment,
- * single-device lifetime telemetry, DNF accounting, the CSV sink, and
- * the headline contract — the aggregate FleetSummary (and its JSON
- * rendering) is bit-identical across 1/2/8 worker threads.
+ * single-device lifetime telemetry, DNF accounting, the CSV sink, the
+ * memory check before allocation, and the headline contract — the
+ * aggregate FleetSummary (and its JSON rendering) is bit-identical
+ * across 1/2/8 worker threads.
  */
 
 #include <algorithm>
@@ -83,6 +84,21 @@ TEST(FleetPlan, InvalidDistributionsDie)
     auto plan2 = goldenFleet(4);
     plan2.environments = {{"no-such-env", 0.0}};
     EXPECT_DEATH(plan2.validate(), "registered environments");
+}
+
+TEST(FleetPlan, MemoryCheckRefusesColumnsBeyondPhysicalMemory)
+{
+    auto plan = goldenFleet(1000);
+    const u64 needed = 1000 * FleetColumns::bytesPerDevice();
+    EXPECT_EQ(checkFleetMemory(plan, needed), "");
+    const std::string error = checkFleetMemory(plan, needed - 1);
+    EXPECT_NE(error.find("1000 devices"), std::string::npos) << error;
+    // An unknown memory size refuses nothing.
+    EXPECT_EQ(checkFleetMemory(plan, 0), "");
+    // The largest fleet a u32 device count allows, on a 64 GiB host.
+    plan.devices = 4000000000u;
+    EXPECT_NE(checkFleetMemory(plan, u64{64} << 30), "");
+    EXPECT_GT(physicalMemoryBytes(), 0u);
 }
 
 TEST(Fleet, DeviceLifetimeProducesConsistentTelemetry)

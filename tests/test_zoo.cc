@@ -7,9 +7,16 @@
  * paths in SweepPlan and Engine, and bit pins of the paper workloads'
  * teachers, compressed networks and datasets, with the build-time
  * factor and label tables held to what solving and labelling give.
+ * Warmed paper entries must not keep their teacher, and rebuild it
+ * bit for bit on demand.
  */
 
+#include <cstdlib>
 #include <cstring>
+#include <latch>
+#include <thread>
+
+#include <malloc.h>
 
 #include <gtest/gtest.h>
 
@@ -95,6 +102,9 @@ TEST(ModelZoo, AddRegistersACustomModelSweepableByName)
     ASSERT_EQ(records.size(), 1u);
     EXPECT_TRUE(records[0].result.completed);
     EXPECT_EQ(records[0].spec.net, "test-custom");
+    // A fixed-weight model keeps its only copy of the teacher.
+    EXPECT_EQ(entry.teacher().paramCount(),
+              entry.compressed().paramCount());
 }
 
 TEST(ModelZoo, DatasetBuilderReplacesTheSyntheticDefault)
@@ -214,25 +224,39 @@ netDigest(const NetworkSpec &net, u64 h = testutil::kDigestBasis)
     return testutil::bitDigest(modelJson(net), h);
 }
 
+/** Digest of every dataset sample (input bits and label). */
+u64
+datasetDigest(const Dataset &data)
+{
+    u64 h = testutil::kDigestBasis;
+    for (const auto &sample : data) {
+        h = testutil::bitDigest(sample.input.data, h);
+        h = testutil::bitDigest(&sample.label, sizeof sample.label, h);
+    }
+    return h;
+}
+
+/** The paper entries' artifact digests. */
+struct Pin
+{
+    const char *net;
+    u64 teacher, compressed, knobs, dataset;
+};
+const Pin kPaperPins[] = {
+    {"MNIST", 0x1646b9118d1a8013ull, 0xd7674448877c380full,
+     0x275f8cbf6810f4d5ull, 0x060acb7188deaf2cull},
+    {"HAR", 0x1588c94651e081faull, 0x485139434e64ff61ull,
+     0x08c7a393378f7d43ull, 0xfb8ac070a16920f6ull},
+    {"OkG", 0xc18e00e5d8e989f1ull, 0x33a8b0d17e75406aull,
+     0x7a10f98606feb8dfull, 0x4bea2a03e84da547ull},
+};
+
 TEST(ModelZoo, PaperArtifactsArePinned)
 {
     // Every bit of the teacher, the Table 2 network, the GENESIS knob
     // variants and every dataset sample (input bits and label) is
     // pinned; see the Pinned tests in test_tensor.cc.
-    struct Pin
-    {
-        const char *net;
-        u64 teacher, compressed, knobs, dataset;
-    };
-    const Pin pins[] = {
-        {"MNIST", 0x1646b9118d1a8013ull, 0xd7674448877c380full,
-         0x275f8cbf6810f4d5ull, 0x060acb7188deaf2cull},
-        {"HAR", 0x1588c94651e081faull, 0x485139434e64ff61ull,
-         0x08c7a393378f7d43ull, 0xfb8ac070a16920f6ull},
-        {"OkG", 0xc18e00e5d8e989f1ull, 0x33a8b0d17e75406aull,
-         0x7a10f98606feb8dfull, 0x4bea2a03e84da547ull},
-    };
-    for (const auto &pin : pins) {
+    for (const auto &pin : kPaperPins) {
         SCOPED_TRACE(pin.net);
         const auto &entry = ModelZoo::instance().get(pin.net);
         const u64 teacher = netDigest(entry.teacher());
@@ -240,12 +264,7 @@ TEST(ModelZoo, PaperArtifactsArePinned)
         u64 knobs = testutil::kDigestBasis;
         for (const auto &k : genesisKnobs())
             knobs = netDigest(entry.withKnobs(k, 0x5eed), knobs);
-        u64 dataset = testutil::kDigestBasis;
-        for (const auto &sample : entry.dataset()) {
-            dataset = testutil::bitDigest(sample.input.data, dataset);
-            dataset = testutil::bitDigest(&sample.label,
-                                          sizeof sample.label, dataset);
-        }
+        const u64 dataset = datasetDigest(entry.dataset());
         EXPECT_EQ(teacher, pin.teacher) << std::hex << teacher;
         EXPECT_EQ(compressed, pin.compressed) << std::hex << compressed;
         EXPECT_EQ(knobs, pin.knobs) << std::hex << knobs;
@@ -261,7 +280,7 @@ TEST(ModelZoo, PaperArtifactsArePinned)
     };
     u32 eigens_checked = 0;
     u32 labels_checked = 0;
-    for (const auto &pin : pins) {
+    for (const auto &pin : kPaperPins) {
         SCOPED_TRACE(pin.net);
         const auto &entry = ModelZoo::instance().get(pin.net);
         const NetworkSpec &teacher = entry.teacher();
@@ -331,6 +350,87 @@ TEST(ModelZoo, PaperEntriesCompressTheTeacherTheyBuilt)
         const CompressionKnobs prune = genesisKnobs().back();
         EXPECT_EQ(modelJson(entry.withKnobs(prune, 0x5eed)),
                   modelJson(compressTeacher(id, teacher, prune)));
+    }
+}
+
+/** Heap bytes in use: arena chunks plus mmapped ones. */
+i64
+heapInUse()
+{
+    const struct mallinfo2 info = mallinfo2();
+    return static_cast<i64>(info.uordblks + info.hblkhd);
+}
+
+TEST(ModelZoo, PaperEntryKeepsNoTeacherAfterWarmUp)
+{
+    // Sanitizer runtimes allocate outside glibc's accounting.
+    {
+        const i64 before = heapInUse();
+        void *volatile probe = std::malloc(i64{1} << 20);
+        const bool counted = heapInUse() - before >= (i64{1} << 20);
+        std::free(probe);
+        if (!counted)
+            GTEST_SKIP() << "mallinfo2 does not see this allocator";
+    }
+    // Process-wide first-use state (the zoo's own row, the cold-start
+    // workers) is paid outside the measured window.
+    ModelZoo::instance().get("MNIST").dataset();
+    const i64 teacher_bytes = static_cast<i64>(
+        buildTeacher(NetId::Mnist).paramCount() * sizeof(f64));
+
+    const i64 before = heapInUse();
+    // The ModelDef (and the teacher in it) dies with this statement.
+    const auto entry = std::make_unique<ModelEntry>(
+        "MNIST", *ModelZoo::instance().meta("MNIST"),
+        paperModelDef(NetId::Mnist));
+    entry->compressed();
+    entry->dataset();
+    const i64 retained = heapInUse() - before;
+    EXPECT_LT(retained, teacher_bytes / 2)
+        << "teacher " << teacher_bytes << " bytes";
+
+    // The teacher comes back on demand, bit for bit.
+    EXPECT_EQ(netDigest(entry->teacher()), kPaperPins[0].teacher);
+}
+
+TEST(ModelZoo, TeacherRebuildRacesDatasetLabelling)
+{
+    // Two threads ask a fresh entry for its teacher (the rebuild)
+    // while two label its dataset (which frees the teacher the entry
+    // was built with). TSan runs this suite.
+    const ModelEntry entry("MNIST", *ModelZoo::instance().meta("MNIST"),
+                           paperModelDef(NetId::Mnist));
+    std::latch start(4);
+    std::vector<const void *> seen(4);
+    std::vector<std::thread> threads;
+    for (u32 t = 0; t < 4; ++t) {
+        threads.emplace_back([&, t] {
+            start.arrive_and_wait();
+            seen[t] = t % 2 == 0
+                ? static_cast<const void *>(&entry.teacher())
+                : static_cast<const void *>(&entry.dataset());
+        });
+    }
+    for (auto &thread : threads)
+        thread.join();
+    EXPECT_EQ(seen[0], seen[2]);
+    EXPECT_EQ(seen[1], seen[3]);
+    EXPECT_EQ(netDigest(entry.teacher()), kPaperPins[0].teacher);
+    EXPECT_EQ(datasetDigest(entry.dataset()), kPaperPins[0].dataset);
+}
+
+TEST(ModelZoo, RebuiltTeachersAreTheRegisteredOnes)
+{
+    // These models are born device-feasible, so compressed() is the
+    // teacher their entry was built with; the teacher rebuilt at the
+    // recorded seed must be it, bit for bit.
+    for (const char *name : {"golden", "DeepFC-6", "WideFC-512",
+                             "DWConv-3"}) {
+        SCOPED_TRACE(name);
+        const auto &entry = ModelZoo::instance().get(name);
+        entry.dataset();
+        EXPECT_EQ(modelJson(entry.teacher()),
+                  modelJson(entry.compressed()));
     }
 }
 
